@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use hac_lang::ast::{ArrayDef, ArrayKind, ClauseId};
+use hac_lang::ast::{ArrayDef, ArrayKind, ClauseId, Expr};
 use hac_lang::env::ConstEnv;
 use hac_lang::normalize::NormalizeError;
 use hac_lang::Affine;
@@ -25,6 +25,17 @@ pub enum AnalysisError {
         array: String,
         dim: usize,
     },
+    /// A dimension's constant bounds have `hi < lo - 1` (`hi == lo - 1`
+    /// is the empty dimension).
+    InvalidArrayBounds {
+        array: String,
+        dim: usize,
+        bounds: (i64, i64),
+    },
+    /// An array's element count or byte size overflows.
+    ArrayTooLarge {
+        array: String,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -34,6 +45,15 @@ impl fmt::Display for AnalysisError {
             AnalysisError::NonConstantArrayBound { array, dim } => {
                 write!(f, "array `{array}` dimension {dim} bound is not constant")
             }
+            AnalysisError::InvalidArrayBounds { array, dim, bounds } => write!(
+                f,
+                "array `{array}` dimension {dim} has invalid bounds ({},{}): hi < lo - 1",
+                bounds.0, bounds.1
+            ),
+            AnalysisError::ArrayTooLarge { array } => write!(
+                f,
+                "array `{array}` is too large: its element count or byte size overflows"
+            ),
         }
     }
 }
@@ -165,24 +185,55 @@ pub struct UpdateAnalysis {
     pub stats: TestStats,
 }
 
-fn fold_bounds(def: &ArrayDef, env: &ConstEnv) -> Result<Vec<(i64, i64)>, AnalysisError> {
-    def.bounds
-        .iter()
-        .enumerate()
-        .map(|(dim, (lo, hi))| {
-            let f = |e| match Affine::from_expr(e, env) {
-                Some(a) if a.is_constant() => Some(a.constant_part()),
-                _ => None,
-            };
-            match (f(lo), f(hi)) {
-                (Some(l), Some(h)) => Ok((l, h)),
-                _ => Err(AnalysisError::NonConstantArrayBound {
-                    array: def.name.clone(),
-                    dim,
-                }),
-            }
-        })
-        .collect()
+/// Fold an array's bounds to constants and check they describe an
+/// allocatable array: no dimension with `hi < lo - 1`, and an element
+/// count and byte size within `isize::MAX` (the largest buffer a `Vec`
+/// can hold). Checked before anything sizes the array, so a bad
+/// parameter is a compile error instead of a panic or a wrapped size
+/// further down.
+///
+/// # Errors
+/// Non-constant, inverted, or overflowing bounds.
+pub fn fold_bounds(
+    array: &str,
+    bounds: &[(Expr, Expr)],
+    env: &ConstEnv,
+) -> Result<Vec<(i64, i64)>, AnalysisError> {
+    let f = |e| match Affine::from_expr(e, env) {
+        Some(a) if a.is_constant() => Some(a.constant_part()),
+        _ => None,
+    };
+    let mut elems: usize = 1;
+    let mut folded = Vec::with_capacity(bounds.len());
+    for (dim, (lo, hi)) in bounds.iter().enumerate() {
+        let (Some(lo), Some(hi)) = (f(lo), f(hi)) else {
+            return Err(AnalysisError::NonConstantArrayBound {
+                array: array.to_string(),
+                dim,
+            });
+        };
+        let extent = i128::from(hi) - i128::from(lo) + 1;
+        if extent < 0 {
+            return Err(AnalysisError::InvalidArrayBounds {
+                array: array.to_string(),
+                dim,
+                bounds: (lo, hi),
+            });
+        }
+        elems = usize::try_from(extent)
+            .ok()
+            .and_then(|e| elems.checked_mul(e))
+            .ok_or_else(|| AnalysisError::ArrayTooLarge {
+                array: array.to_string(),
+            })?;
+        folded.push((lo, hi));
+    }
+    match elems.checked_mul(8) {
+        Some(bytes) if isize::try_from(bytes).is_ok() => Ok(folded),
+        _ => Err(AnalysisError::ArrayTooLarge {
+            array: array.to_string(),
+        }),
+    }
 }
 
 fn collision_verdict(output: &DependenceGraph, refs: &[ClauseRefs]) -> CollisionVerdict {
@@ -320,7 +371,7 @@ pub fn analyze_array(
     env: &ConstEnv,
     policy: &TestPolicy,
 ) -> Result<ArrayAnalysis, AnalysisError> {
-    let bounds = fold_bounds(def, env)?;
+    let bounds = fold_bounds(&def.name, &def.bounds, env)?;
     let refs = collect_refs(&def.comp, &def.name, env)?;
     let flow = flow_dependences(&refs, &def.name, policy);
     let output = output_dependences(&refs, policy);

@@ -10,27 +10,11 @@
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hac_bench::harness::inputs;
-use hac_core::pipeline::{compile, run_with_options, CompileOptions, Compiled, Engine, RunOptions};
-use hac_lang::env::ConstEnv;
-use hac_lang::parser::parse_program;
+use hac_bench::harness::{compile_src, inputs};
+use hac_core::pipeline::{run_with_options, ExecMode, RunOptions};
 use hac_runtime::governor::Limits;
 use hac_runtime::value::{ArrayBuf, FuncTable};
 use hac_workloads as wl;
-
-fn compile_tape(src: &str, params: &[(&str, i64)]) -> Compiled {
-    let program = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
-    let env = ConstEnv::from_pairs(params.iter().copied());
-    compile(
-        &program,
-        &env,
-        &CompileOptions {
-            engine: Engine::Tape,
-            ..CompileOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("compile: {e}"))
-}
 
 fn bench_limits(
     c: &mut Criterion,
@@ -40,7 +24,7 @@ fn bench_limits(
     ins: &HashMap<String, ArrayBuf>,
     n: i64,
 ) {
-    let compiled = compile_tape(src, params);
+    let compiled = compile_src(src, params, ExecMode::Auto);
     let funcs = FuncTable::new();
     let variants: [(&str, Limits); 3] = [
         ("unmetered", Limits::unlimited()),

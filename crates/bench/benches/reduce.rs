@@ -13,27 +13,20 @@ use std::collections::HashMap;
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hac_bench::harness::{inputs, run_compiled};
-use hac_core::pipeline::{compile, CompileOptions, Compiled, Engine};
-use hac_lang::env::ConstEnv;
-use hac_lang::parser::parse_program;
+use hac_bench::harness::{compile_with, inputs, run_compiled};
+use hac_core::pipeline::{CompileOptions, Compiled};
 use hac_runtime::value::ArrayBuf;
 use hac_workloads as wl;
 
 fn compile_fuse(src: &str, params: &[(&str, i64)], fuse: bool) -> Compiled {
-    let program = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
-    let env = ConstEnv::from_pairs(params.iter().copied());
-    compile(
-        &program,
-        &env,
+    compile_with(
+        src,
+        params,
         &CompileOptions {
-            // Sequential tape isolates kernel speed from chunking.
-            engine: Engine::Tape,
             fuse,
             ..CompileOptions::default()
         },
     )
-    .unwrap_or_else(|e| panic!("compile: {e}"))
 }
 
 /// Fused and scalar interpreter runs plus a hand-written closure,

@@ -9,25 +9,20 @@
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hac_bench::harness::{inputs, run_compiled};
-use hac_core::pipeline::{compile, CompileOptions, Compiled, Engine};
-use hac_lang::env::ConstEnv;
-use hac_lang::parser::parse_program;
+use hac_bench::harness::{compile_with, inputs, run_compiled};
+use hac_core::pipeline::{CompileOptions, Compiled, Engine};
 use hac_runtime::value::ArrayBuf;
 use hac_workloads as wl;
 
 fn compile_engine(src: &str, params: &[(&str, i64)], engine: Engine) -> Compiled {
-    let program = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
-    let env = ConstEnv::from_pairs(params.iter().copied());
-    compile(
-        &program,
-        &env,
+    compile_with(
+        src,
+        params,
         &CompileOptions {
             engine,
             ..CompileOptions::default()
         },
     )
-    .unwrap_or_else(|e| panic!("compile: {e}"))
 }
 
 fn bench_engines(
@@ -38,7 +33,8 @@ fn bench_engines(
     ins: &HashMap<String, ArrayBuf>,
     n: i64,
 ) {
-    let tape = compile_engine(src, params, Engine::Tape);
+    // `run_compiled` runs at one thread: the sequential tape path.
+    let tape = compile_engine(src, params, Engine::ParTape);
     let tree = compile_engine(src, params, Engine::TreeWalk);
     let mut group = c.benchmark_group(group_name);
     group.bench_with_input(BenchmarkId::new("tape", n), &n, |b, _| {

@@ -2,7 +2,9 @@
 
 use std::collections::HashMap;
 
-use hac_core::pipeline::{compile, run, CompileOptions, Compiled, ExecMode, ExecOutput};
+use hac_core::pipeline::{
+    compile, run_with_threads, CompileOptions, Compiled, ExecMode, ExecOutput,
+};
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::parse_program;
 use hac_runtime::value::{ArrayBuf, FuncTable};
@@ -12,25 +14,30 @@ use hac_runtime::value::{ArrayBuf, FuncTable};
 /// # Panics
 /// Panics on parse/compile failure (benchmark programs are fixed).
 pub fn compile_src(src: &str, params: &[(&str, i64)], mode: ExecMode) -> Compiled {
-    let program = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
-    let env = ConstEnv::from_pairs(params.iter().copied());
-    compile(
-        &program,
-        &env,
-        &CompileOptions {
-            mode,
-            ..CompileOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("compile: {e}"))
+    let options = CompileOptions {
+        mode,
+        ..CompileOptions::default()
+    };
+    compile_with(src, params, &options)
 }
 
-/// Run a compiled program.
+/// [`compile_src`] with full compiler options.
+///
+/// # Panics
+/// Panics on parse/compile failure (benchmark programs are fixed).
+pub fn compile_with(src: &str, params: &[(&str, i64)], options: &CompileOptions) -> Compiled {
+    let program = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
+    let env = ConstEnv::from_pairs(params.iter().copied());
+    compile(&program, &env, options).unwrap_or_else(|e| panic!("compile: {e}"))
+}
+
+/// Run a compiled program at one thread — the sequential tape path —
+/// so kernel timings never include chunking or pool hand-offs.
 ///
 /// # Panics
 /// Panics on runtime failure.
 pub fn run_compiled(compiled: &Compiled, inputs: &HashMap<String, ArrayBuf>) -> ExecOutput {
-    run(compiled, inputs, &FuncTable::new()).unwrap_or_else(|e| panic!("run: {e}"))
+    run_with_threads(compiled, inputs, &FuncTable::new(), 1).unwrap_or_else(|e| panic!("run: {e}"))
 }
 
 /// Convenience: inputs map from name/buffer pairs.

@@ -237,6 +237,20 @@ pub struct VmCounters {
     pub engine_faults: u64,
 }
 
+impl std::ops::AddAssign for VmCounters {
+    fn add_assign(&mut self, c: VmCounters) {
+        self.stores += c.stores;
+        self.loads += c.loads;
+        self.check_ops += c.check_ops;
+        self.loop_iterations += c.loop_iterations;
+        self.temp_elements += c.temp_elements;
+        self.elements_copied += c.elements_copied;
+        self.array_allocs += c.array_allocs;
+        self.tape_ops += c.tape_ops;
+        self.engine_faults += c.engine_faults;
+    }
+}
+
 /// The Limp virtual machine.
 #[derive(Debug, Default)]
 pub struct Vm {

@@ -667,19 +667,14 @@ fn run_region(
 
 /// Fold a chunk's counter delta into the main counters. `tape_ops`
 /// rides separately (the caller adds it to the state's counters once,
-/// mirroring [`TapeProgram::exec`]).
+/// mirroring [`TapeProgram::exec`]). `engine_faults` is main-thread
+/// bookkeeping a chunk never touches, so merging it adds nothing and
+/// fault-free runs stay bit-identical to the sequential engine on
+/// every counter.
 fn add_counters(main: &mut VmCounters, c: &VmCounters, tape_ops: &mut u64) {
-    main.loads += c.loads;
-    main.stores += c.stores;
-    main.loop_iterations += c.loop_iterations;
-    main.check_ops += c.check_ops;
-    main.array_allocs += c.array_allocs;
-    main.temp_elements += c.temp_elements;
-    main.elements_copied += c.elements_copied;
+    debug_assert_eq!(c.engine_faults, 0, "chunks never record engine faults");
+    *main += VmCounters { tape_ops: 0, ..*c };
     *tape_ops += c.tape_ops;
-    // `engine_faults` is deliberately not merged: it is main-thread
-    // bookkeeping (a chunk cannot observe a fault), so fault-free runs
-    // stay bit-identical to the sequential engine on every counter.
 }
 
 /// When set, [`env_fault_plan`] returns `None` unconditionally: the

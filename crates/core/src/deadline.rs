@@ -26,7 +26,7 @@ use hac_lang::env::ConstEnv;
 use hac_runtime::governor::Limits;
 use hac_runtime::value::FuncTable;
 
-use crate::pipeline::{compile, run_with_options, CompileOptions, Engine, RunOptions};
+use crate::pipeline::{compile, run_with_options, CompileOptions, RunOptions};
 
 /// The calibration probe: a first-order recurrence long enough to
 /// dominate compile time but small enough to finish in well under a
@@ -71,11 +71,9 @@ impl DeadlineGovernor {
     pub fn calibrate() -> Self {
         let env = ConstEnv::from_pairs([("n", PROBE_N)]);
         let program = hac_lang::parser::parse_program(PROBE_SRC).expect("probe parses");
-        let options = CompileOptions {
-            engine: Engine::Tape,
-            ..CompileOptions::default()
-        };
-        let compiled = compile(&program, &env, &options).expect("probe compiles");
+        // The default engine (ParTape) at one thread: the sequential
+        // tape path, untouched by worker scheduling.
+        let compiled = compile(&program, &env, &CompileOptions::default()).expect("probe compiles");
         let inputs = HashMap::new();
         let funcs = FuncTable::new();
         // An effectively-infinite but still *finite* fuel cap (the

@@ -14,7 +14,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use hac_analysis::analyze::{analyze_array, analyze_bigupd, AnalysisError, CollisionVerdict};
+use hac_analysis::analyze::{
+    analyze_array, analyze_bigupd, fold_bounds, AnalysisError, CollisionVerdict,
+};
 use hac_analysis::cost::{CostCert, Poly};
 use hac_analysis::search::TestPolicy;
 use hac_codegen::cost::program_cost;
@@ -26,7 +28,6 @@ use hac_codegen::tape::{compile_tape, TapeCtx, TapeProgram};
 use hac_lang::ast::{ArrayDef, ArrayKind, Binding, ClauseId, Comp, Program};
 use hac_lang::env::ConstEnv;
 use hac_lang::number::number_comp;
-use hac_lang::Affine;
 use hac_runtime::accum::eval_accum_with_scalars;
 use hac_runtime::error::RuntimeError;
 use hac_runtime::governor::{FaultPlan, Limits, Meter, SharedCeiling};
@@ -59,13 +60,13 @@ pub enum ExecMode {
 pub enum Engine {
     /// Compile each Limp program once into a register-slot bytecode
     /// tape (names resolved to indices, affine subscripts
-    /// strength-reduced) and run it on the non-recursive dispatcher.
+    /// strength-reduced) and run it on the non-recursive dispatcher,
+    /// with §10 parallel execution: top-level loop passes proven free
+    /// of carried dependences are partitioned over a worker pool (see
+    /// [`run_with_threads`]); everything else runs sequentially. At
+    /// one thread this is exactly the sequential tape path, and every
+    /// thread count is bit-identical to it.
     #[default]
-    Tape,
-    /// The tape engine plus §10 parallel execution: top-level loop
-    /// passes proven free of carried dependences are partitioned over
-    /// a worker pool (see [`run_with_threads`]); everything else runs
-    /// sequentially. Bit-identical to [`Engine::Tape`].
     ParTape,
     /// The recursive tree-walking evaluator (reference semantics; also
     /// the baseline for the `vm_dispatch` benchmark).
@@ -119,10 +120,6 @@ pub enum CompileError {
     DuplicateName(String),
     /// A binding referenced an unknown base array.
     UnknownBase(String),
-    /// An array bound did not fold to a constant.
-    NonConstantBound {
-        array: String,
-    },
     /// A binding referenced an array already consumed by an in-place
     /// update — single-threadedness (§9) would be violated.
     UseAfterUpdate {
@@ -156,9 +153,6 @@ impl fmt::Display for CompileError {
             }
             CompileError::DuplicateName(n) => write!(f, "name `{n}` bound twice"),
             CompileError::UnknownBase(n) => write!(f, "unknown base array `{n}`"),
-            CompileError::NonConstantBound { array } => {
-                write!(f, "array `{array}` has non-constant bounds")
-            }
             CompileError::UseAfterUpdate { array, user } => write!(
                 f,
                 "`{user}` references `{array}`, whose storage was consumed by an \
@@ -200,10 +194,7 @@ pub enum Unit {
         prog: LProgram,
         /// Bytecode form of `prog`, compiled once here; `None` under
         /// [`Engine::TreeWalk`].
-        tape: Option<TapeProgram>,
-        /// Parallel execution plan for the tape; `Some` only under
-        /// [`Engine::ParTape`].
-        par: Option<ParPlan>,
+        tape: Option<CompiledTape>,
     },
     /// A (possibly mutually recursive) group evaluated with thunks.
     Thunked { defs: Vec<GroupMember> },
@@ -220,10 +211,7 @@ pub enum Unit {
         /// Bytecode form of `lowered.prog` (aliases folded in at
         /// compile time for in-place updates); `None` under
         /// [`Engine::TreeWalk`].
-        tape: Option<TapeProgram>,
-        /// Parallel execution plan for the tape; `Some` only under
-        /// [`Engine::ParTape`].
-        par: Option<ParPlan>,
+        tape: Option<CompiledTape>,
     },
     /// A scalar reduction (§3.1 `foldl` over a comprehension),
     /// executed as a DO loop with no intermediate list.
@@ -233,6 +221,42 @@ pub enum Unit {
         init: hac_lang::ast::Expr,
         comp: Comp,
     },
+}
+
+/// A unit's bytecode: the tape compiled once from its Limp program,
+/// plus the §10 parallel plan that [`Vm::run_partape`] partitions it
+/// by.
+#[derive(Debug, Clone)]
+pub struct CompiledTape {
+    pub tape: TapeProgram,
+    pub plan: ParPlan,
+}
+
+impl CompiledTape {
+    /// Compile `prog` against `ctx`, run the vector-fusion pass when
+    /// `options.fuse` is on (returning its per-loop verdicts), and plan
+    /// the parallel regions of the result. `None` under
+    /// [`Engine::TreeWalk`], which interprets the Limp tree directly.
+    fn build(
+        prog: &LProgram,
+        ctx: &TapeCtx,
+        options: &CompileOptions,
+    ) -> (Option<CompiledTape>, Vec<String>) {
+        if options.engine == Engine::TreeWalk {
+            return (None, Vec::new());
+        }
+        let mut tape = compile_tape(prog, ctx);
+        let fusion = if options.fuse {
+            fuse_tape(&mut tape)
+                .iter()
+                .map(FuseDecision::render)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let plan = plan_tape(&tape);
+        (Some(CompiledTape { tape, plan }), fusion)
+    }
 }
 
 /// Static delta-recomputation plan: present when the program ends in
@@ -361,28 +385,6 @@ fn delta_params(program: &Program, update_idx: usize) -> Vec<String> {
         .collect()
 }
 
-fn fold_bounds_i64(
-    def_name: &str,
-    bounds: &[(hac_lang::ast::Expr, hac_lang::ast::Expr)],
-    env: &ConstEnv,
-) -> Result<Vec<(i64, i64)>, CompileError> {
-    bounds
-        .iter()
-        .map(|(lo, hi)| {
-            let f = |e| match Affine::from_expr(e, env) {
-                Some(a) if a.is_constant() => Some(a.constant_part()),
-                _ => None,
-            };
-            match (f(lo), f(hi)) {
-                (Some(l), Some(h)) => Ok((l, h)),
-                _ => Err(CompileError::NonConstantBound {
-                    array: def_name.to_string(),
-                }),
-            }
-        })
-        .collect()
-}
-
 /// Compile a program against a parameter environment.
 ///
 /// # Errors
@@ -481,7 +483,7 @@ pub fn compile(
                 // The executor charges `len * 8` bytes when the input
                 // is bound (no definedness bitmap for inputs).
                 let mem_poly = bounds_mem_poly(bounds, false);
-                let bounds = fold_bounds_i64(name, bounds, env)?;
+                let bounds = fold_bounds(name, bounds, env)?;
                 cert.add(
                     env,
                     0,
@@ -599,27 +601,16 @@ pub fn compile(
                 if lowered.in_place {
                     consumed.push(base.clone());
                 }
-                let mut fusion = Vec::new();
-                let tape = (options.engine != Engine::TreeWalk).then(|| {
-                    let mut tctx = known.clone();
-                    if lowered.in_place {
-                        // The result name aliases the base at compile
-                        // time, mirroring the VM's runtime alias.
-                        tctx.aliases.insert(name.clone(), base.clone());
-                    }
-                    let mut t = compile_tape(&lowered.prog, &tctx);
-                    if options.fuse {
-                        fusion = fuse_tape(&mut t).iter().map(FuseDecision::render).collect();
-                    }
-                    t
-                });
+                let mut tctx = known.clone();
+                if lowered.in_place {
+                    // The result name aliases the base at compile
+                    // time, mirroring the VM's runtime alias.
+                    tctx.aliases.insert(name.clone(), base.clone());
+                }
+                let (tape, fusion) = CompiledTape::build(&lowered.prog, &tctx, options);
                 if let Some(u) = report.updates.last_mut() {
                     u.fusion = fusion;
                 }
-                let par = match (&tape, options.engine) {
-                    (Some(t), Engine::ParTape) => Some(plan_tape(t)),
-                    _ => None,
-                };
                 if let Some(b) = known.shapes.get(base).cloned() {
                     known.shapes.insert(name.clone(), b);
                 }
@@ -636,7 +627,6 @@ pub fn compile(
                     base: base.clone(),
                     lowered,
                     tape,
-                    par,
                 });
             }
         }
@@ -774,21 +764,10 @@ fn compile_group(
                     checks == CheckMode::Elide,
                 ));
                 report.stats.absorb(&analysis.stats);
-                let mut fusion = Vec::new();
-                let tape = (options.engine != Engine::TreeWalk).then(|| {
-                    let mut t = compile_tape(&prog, known);
-                    if options.fuse {
-                        fusion = fuse_tape(&mut t).iter().map(FuseDecision::render).collect();
-                    }
-                    t
-                });
+                let (tape, fusion) = CompiledTape::build(&prog, known, options);
                 if let Some(a) = report.arrays.last_mut() {
                     a.fusion = fusion;
                 }
-                let par = match (&tape, options.engine) {
-                    (Some(t), Engine::ParTape) => Some(plan_tape(t)),
-                    _ => None,
-                };
                 known
                     .shapes
                     .insert(def.name.clone(), analysis.bounds.clone());
@@ -796,7 +775,6 @@ fn compile_group(
                     name: def.name.clone(),
                     prog,
                     tape,
-                    par,
                 });
             }
             ScheduleOutcome::NeedsThunks(reason) => {
@@ -882,9 +860,8 @@ pub fn run(
 }
 
 /// [`run`] with an explicit worker count for [`Engine::ParTape`] units
-/// (`threads: 1` executes their parallel plans inline — still on the
-/// sequential dispatch path, never touching the pool). Units compiled
-/// for other engines ignore `threads` entirely.
+/// (`threads: 1` is the sequential tape path and never touches the
+/// pool). [`Engine::TreeWalk`] units ignore `threads` entirely.
 ///
 /// # Errors
 /// See [`run`].
@@ -1068,9 +1045,7 @@ pub fn run_units(
     // (`Vm::bind_all` / `into_arrays`), so work on owned state and put
     // it back on success; a failed run's partial state is discarded
     // with the error.
-    let mut arrays = std::mem::take(&mut state.arrays);
-    let mut scalars = std::mem::take(&mut state.scalars);
-    let mut counters = std::mem::take(&mut state.counters);
+    let mut st = std::mem::take(state);
 
     for unit in &compiled.units[range] {
         match unit {
@@ -1080,36 +1055,14 @@ pub fn run_units(
                     .ok_or_else(|| RuntimeError::UnboundArray(name.clone()))?;
                 debug_assert_eq!(&buf.bounds(), bounds, "input `{name}` shape mismatch");
                 meter.charge_mem(buf.len() as u64 * 8)?;
-                arrays.insert(name.clone(), buf.clone());
+                st.arrays.insert(name.clone(), buf.clone());
             }
-            Unit::Thunkless {
-                name,
-                prog,
-                tape,
-                par,
-            } => {
-                let mut vm = Vm::new();
-                vm.with_funcs(funcs.clone());
-                vm.with_meter(std::mem::take(meter));
-                vm.with_faults(options.faults.clone());
-                for (p, v) in compiled.env.iter() {
-                    vm.set_global(p, v as f64);
-                }
-                for (n, v) in &scalars {
-                    vm.set_global(n.clone(), *v);
-                }
-                // Move the environment through the VM: no copies.
-                vm.bind_all(std::mem::take(&mut arrays));
-                let out = match (tape, par) {
-                    (Some(t), Some(p)) => vm.run_partape(t, p, threads),
-                    (Some(t), None) => vm.run_tape(t),
-                    (None, _) => vm.run(prog),
-                };
-                *meter = vm.take_meter();
-                out?;
-                counters.vm = add_vm(counters.vm, vm.counters);
-                arrays = vm.into_arrays();
-                debug_assert!(arrays.contains_key(name), "program allocated its result");
+            Unit::Thunkless { name, prog, tape } => {
+                run_in_vm(compiled, funcs, options, meter, &mut st, |vm| match tape {
+                    Some(t) => vm.run_partape(&t.tape, &t.plan, threads),
+                    None => vm.run(prog),
+                })?;
+                debug_assert!(st.arrays.contains_key(name), "program allocated its result");
             }
             Unit::Thunked { defs } => {
                 for (_, b, _) in defs {
@@ -1130,22 +1083,22 @@ pub fn run_units(
                     let group = ThunkedGroup::build_metered(
                         &triples,
                         &compiled.env,
-                        &scalars,
-                        &arrays,
+                        &st.scalars,
+                        &st.arrays,
                         funcs,
                         Some(&meter_cell),
                     )?;
                     let out = group.force_elements();
                     let gc = group.counters();
-                    counters.thunked.thunks_allocated += gc.thunks_allocated;
-                    counters.thunked.demands += gc.demands;
-                    counters.thunked.memo_hits += gc.memo_hits;
+                    st.counters.thunked.thunks_allocated += gc.thunks_allocated;
+                    st.counters.thunked.demands += gc.demands;
+                    st.counters.thunked.memo_hits += gc.memo_hits;
                     out?;
                     group.into_strict()
                 })();
                 *meter = meter_cell.into_inner();
                 for (n, b) in results? {
-                    arrays.insert(n, b);
+                    st.arrays.insert(n, b);
                 }
             }
             Unit::Accum { def, bounds } => {
@@ -1162,11 +1115,11 @@ pub fn run_units(
                     *combine,
                     default,
                     &compiled.env,
-                    &scalars,
-                    &arrays,
+                    &st.scalars,
+                    &st.arrays,
                     funcs,
                 )?;
-                arrays.insert(def.name.clone(), buf);
+                st.arrays.insert(def.name.clone(), buf);
             }
             Unit::Reduce {
                 name,
@@ -1174,68 +1127,80 @@ pub fn run_units(
                 init,
                 comp,
             } => {
-                let v = eval_reduce(*op, init, comp, &compiled.env, &scalars, &arrays, funcs)?;
-                scalars.push((name.clone(), v));
+                let v = eval_reduce(
+                    *op,
+                    init,
+                    comp,
+                    &compiled.env,
+                    &st.scalars,
+                    &st.arrays,
+                    funcs,
+                )?;
+                st.scalars.push((name.clone(), v));
             }
             Unit::Update {
                 name,
                 base,
                 lowered,
                 tape,
-                par,
             } => {
-                let mut vm = Vm::new();
-                vm.with_funcs(funcs.clone());
-                vm.with_meter(std::mem::take(meter));
-                vm.with_faults(options.faults.clone());
-                for (p, v) in compiled.env.iter() {
-                    vm.set_global(p, v as f64);
-                }
-                for (n, v) in &scalars {
-                    vm.set_global(n.clone(), *v);
-                }
-                vm.bind_all(std::mem::take(&mut arrays));
-                if lowered.in_place {
-                    vm.alias(name.clone(), base.clone());
-                }
-                let out = match (tape, par) {
-                    (Some(t), Some(p)) => vm.run_partape(t, p, threads),
-                    (Some(t), None) => vm.run_tape(t),
-                    (None, _) => vm.run(&lowered.prog),
-                };
-                *meter = vm.take_meter();
-                out?;
-                counters.vm = add_vm(counters.vm, vm.counters);
-                arrays = vm.into_arrays();
+                run_in_vm(compiled, funcs, options, meter, &mut st, |vm| {
+                    if lowered.in_place {
+                        vm.alias(name.clone(), base.clone());
+                    }
+                    match tape {
+                        Some(t) => vm.run_partape(&t.tape, &t.plan, threads),
+                        None => vm.run(&lowered.prog),
+                    }
+                })?;
                 if lowered.in_place {
                     // The base's storage *is* the result; the compiler
                     // rejected any later use of the consumed name.
-                    let buf = arrays
+                    let buf = st
+                        .arrays
                         .remove(base)
                         .expect("in-place update mutated its base");
-                    arrays.insert(name.clone(), buf);
+                    st.arrays.insert(name.clone(), buf);
                 }
             }
         }
     }
-    state.arrays = arrays;
-    state.scalars = scalars;
-    state.counters = counters;
+    *state = st;
     Ok(())
 }
 
-fn add_vm(a: VmCounters, b: VmCounters) -> VmCounters {
-    VmCounters {
-        stores: a.stores + b.stores,
-        loads: a.loads + b.loads,
-        check_ops: a.check_ops + b.check_ops,
-        loop_iterations: a.loop_iterations + b.loop_iterations,
-        temp_elements: a.temp_elements + b.temp_elements,
-        elements_copied: a.elements_copied + b.elements_copied,
-        array_allocs: a.array_allocs + b.array_allocs,
-        tape_ops: a.tape_ops + b.tape_ops,
-        engine_faults: a.engine_faults + b.engine_faults,
+/// Run one Limp-compiled unit in a fresh [`Vm`]: install the host
+/// functions, the meter, the fault plan and the globals (parameters,
+/// then scalar reductions in binding order), move the bound arrays
+/// in, `exec` the unit's engine, and move the meter, counters and
+/// arrays back out. The meter comes back even when `exec` fails, so an
+/// error reports the exact balance at the failure point.
+fn run_in_vm(
+    compiled: &Compiled,
+    funcs: &FuncTable,
+    options: &RunOptions,
+    meter: &mut Meter,
+    st: &mut ExecState,
+    exec: impl FnOnce(&mut Vm) -> Result<(), RuntimeError>,
+) -> Result<(), RuntimeError> {
+    let mut vm = Vm::new();
+    vm.with_funcs(funcs.clone());
+    vm.with_meter(std::mem::take(meter));
+    vm.with_faults(options.faults.clone());
+    for (p, v) in compiled.env.iter() {
+        vm.set_global(p, v as f64);
     }
+    for (n, v) in &st.scalars {
+        vm.set_global(n.clone(), *v);
+    }
+    // Move the environment through the VM: no copies.
+    vm.bind_all(std::mem::take(&mut st.arrays));
+    let out = exec(&mut vm);
+    *meter = vm.take_meter();
+    out?;
+    st.counters.vm += vm.counters;
+    st.arrays = vm.into_arrays();
+    Ok(())
 }
 
 /// Convenience: parse, compile, and run in one call.

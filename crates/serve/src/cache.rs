@@ -240,44 +240,42 @@ pub struct FamilyEntry {
 }
 
 #[derive(Debug)]
-enum FullState {
+enum SlotState<T> {
     Pending,
-    Ready(Arc<CachedOutcome>),
+    Ready(Arc<T>),
     Failed,
 }
 
+/// One result-cache entry: a full outcome (`Slot<CachedOutcome>`) or a
+/// family snapshot (`Slot<FamilyEntry>`).
 #[derive(Debug)]
-enum FamState {
-    Pending,
-    Ready(Arc<FamilyEntry>),
-    Failed,
-}
-
-#[derive(Debug)]
-struct FullSlot {
-    state: FullState,
+struct Slot<T> {
+    state: SlotState<T>,
     /// Install token (the installer's admission ordinal): fills and
     /// fails only land when their token matches, so a filler whose
     /// slot was evicted and re-installed cannot resolve the newcomer.
     token: u64,
     last_used: u64,
     cost: u64,
-}
-
-#[derive(Debug)]
-struct FamSlot {
-    state: FamState,
-    token: u64,
-    last_used: u64,
-    cost: u64,
-    /// Ceiling bytes this slot holds (zeroed when a failure refunds
-    /// them early, so eviction never double-refunds).
+    /// Ceiling bytes this slot holds: always 0 for full slots; for
+    /// family slots zeroed when a failure refunds them early, so
+    /// eviction never double-refunds.
     bytes: u64,
 }
 
+impl<T> Slot<T> {
+    fn probe(&self) -> Probe<T> {
+        match &self.state {
+            SlotState::Pending => Probe::Pending { token: self.token },
+            SlotState::Ready(v) => Probe::Ready(Arc::clone(v)),
+            SlotState::Failed => Probe::Failed,
+        }
+    }
+}
+
 /// What an admission-time probe (or an execution-time peek) found.
-#[derive(Debug, Clone)]
-pub enum FullProbe {
+#[derive(Debug)]
+pub enum Probe<T> {
     Absent,
     /// A filler admitted earlier is still executing; `token`
     /// identifies that install so waiters never block on a
@@ -285,17 +283,41 @@ pub enum FullProbe {
     Pending {
         token: u64,
     },
-    Ready(Arc<CachedOutcome>),
+    Ready(Arc<T>),
     Failed,
 }
 
-/// [`FullProbe`] for family slots.
-#[derive(Debug, Clone)]
-pub enum FamilyProbe {
-    Absent,
-    Pending { token: u64 },
-    Ready(Arc<FamilyEntry>),
-    Failed,
+/// [`Probe`] of a full slot.
+pub type FullProbe = Probe<CachedOutcome>;
+
+/// [`Probe`] of a family slot.
+pub type FamilyProbe = Probe<FamilyEntry>;
+
+type Slots<T> = HashMap<u64, Slot<T>>;
+
+/// Admission-time probe: stamps recency on `Ready`.
+fn probe<T>(slots: &mut Slots<T>, key: u64, ordinal: u64) -> Probe<T> {
+    match slots.get_mut(&key) {
+        Some(slot) => {
+            if matches!(slot.state, SlotState::Ready(_)) {
+                slot.last_used = ordinal;
+            }
+            slot.probe()
+        }
+        None => Probe::Absent,
+    }
+}
+
+/// Execution-time peek: no stats, no recency.
+fn peek<T>(slots: &Slots<T>, key: u64) -> Probe<T> {
+    slots.get(&key).map_or(Probe::Absent, Slot::probe)
+}
+
+/// The slot `key` still pending for the filler holding `token`.
+fn pending<T>(slots: &mut Slots<T>, key: u64, token: u64) -> Option<&mut Slot<T>> {
+    slots
+        .get_mut(&key)
+        .filter(|slot| slot.token == token && matches!(slot.state, SlotState::Pending))
 }
 
 /// What an install displaced: evicted entry count plus any family
@@ -321,8 +343,8 @@ pub struct Evicted {
 #[derive(Debug)]
 pub struct ResultCache {
     cap: usize,
-    full: HashMap<u64, FullSlot>,
-    family: HashMap<u64, FamSlot>,
+    full: Slots<CachedOutcome>,
+    family: Slots<FamilyEntry>,
     stats: ResultCacheStats,
 }
 
@@ -346,59 +368,20 @@ impl ResultCache {
     /// stamps recency on `Ready`.
     pub fn probe_full(&mut self, key: u64, ordinal: u64) -> FullProbe {
         self.stats.lookups += 1;
-        match self.full.get_mut(&key) {
-            Some(slot) => {
-                if let FullState::Ready(o) = &slot.state {
-                    slot.last_used = ordinal;
-                    return FullProbe::Ready(Arc::clone(o));
-                }
-                match &slot.state {
-                    FullState::Pending => FullProbe::Pending { token: slot.token },
-                    FullState::Failed => FullProbe::Failed,
-                    FullState::Ready(_) => unreachable!(),
-                }
-            }
-            None => FullProbe::Absent,
-        }
+        probe(&mut self.full, key, ordinal)
     }
 
     /// Execution-time peek (no stats, no recency) for waiters parked
     /// on a `Pending` slot.
     pub fn peek_full(&self, key: u64) -> FullProbe {
-        match self.full.get(&key) {
-            Some(slot) => match &slot.state {
-                FullState::Pending => FullProbe::Pending { token: slot.token },
-                FullState::Ready(o) => FullProbe::Ready(Arc::clone(o)),
-                FullState::Failed => FullProbe::Failed,
-            },
-            None => FullProbe::Absent,
-        }
+        peek(&self.full, key)
     }
 
     /// Install a `Pending` full slot: the installing request becomes
     /// the slot's filler. Replaces a `Failed` tombstone in place;
     /// inserting a new key first evicts to capacity.
     pub fn install_full(&mut self, key: u64, ordinal: u64, cost: u64) -> Evicted {
-        let cost = cost.max(1);
-        if let Some(slot) = self.full.get_mut(&key) {
-            slot.state = FullState::Pending;
-            slot.token = ordinal;
-            slot.last_used = ordinal;
-            slot.cost = cost;
-            return Evicted::default();
-        }
-        let evicted = self.evict_to_cap();
-        self.full.insert(
-            key,
-            FullSlot {
-                state: FullState::Pending,
-                token: ordinal,
-                last_used: ordinal,
-                cost,
-            },
-        );
-        self.stats.live += 1;
-        evicted
+        self.install(|c| &mut c.full, key, ordinal, cost, 0)
     }
 
     /// Resolve a `Pending` full slot to `Ready`. Lands only when the
@@ -406,91 +389,30 @@ impl ResultCache {
     /// the slot was evicted or re-installed and the fill is dropped).
     /// Returns whether it landed.
     pub fn fill_full(&mut self, key: u64, token: u64, outcome: Arc<CachedOutcome>) -> bool {
-        match self.full.get_mut(&key) {
-            Some(slot) if slot.token == token && matches!(slot.state, FullState::Pending) => {
-                slot.state = FullState::Ready(outcome);
-                self.stats.insertions += 1;
-                true
-            }
-            _ => false,
-        }
+        self.fill(|c| &mut c.full, key, token, outcome)
     }
 
     /// Resolve a `Pending` full slot to `Failed` (the filler died
     /// without an outcome). Token-gated like [`ResultCache::fill_full`].
     pub fn fail_full(&mut self, key: u64, token: u64) {
-        if let Some(slot) = self.full.get_mut(&key) {
-            if slot.token == token && matches!(slot.state, FullState::Pending) {
-                slot.state = FullState::Failed;
-            }
-        }
+        self.fail(|c| &mut c.full, key, token);
     }
 
     /// Admission-time probe of a family key (no lookup count — the
     /// full-key probe already counted this request).
     pub fn probe_family(&mut self, fkey: u64, ordinal: u64) -> FamilyProbe {
-        match self.family.get_mut(&fkey) {
-            Some(slot) => {
-                if let FamState::Ready(f) = &slot.state {
-                    slot.last_used = ordinal;
-                    return FamilyProbe::Ready(Arc::clone(f));
-                }
-                match &slot.state {
-                    FamState::Pending => FamilyProbe::Pending { token: slot.token },
-                    FamState::Failed => FamilyProbe::Failed,
-                    FamState::Ready(_) => unreachable!(),
-                }
-            }
-            None => FamilyProbe::Absent,
-        }
+        probe(&mut self.family, fkey, ordinal)
     }
 
     /// Execution-time peek for delta waiters.
     pub fn peek_family(&self, fkey: u64) -> FamilyProbe {
-        match self.family.get(&fkey) {
-            Some(slot) => match &slot.state {
-                FamState::Pending => FamilyProbe::Pending { token: slot.token },
-                FamState::Ready(f) => FamilyProbe::Ready(Arc::clone(f)),
-                FamState::Failed => FamilyProbe::Failed,
-            },
-            None => FamilyProbe::Absent,
-        }
+        peek(&self.family, fkey)
     }
 
     /// Install a `Pending` family slot holding `bytes` of (already
     /// ceiling-reserved) snapshot memory.
     pub fn install_family(&mut self, fkey: u64, ordinal: u64, cost: u64, bytes: u64) -> Evicted {
-        let cost = cost.max(1);
-        if let Some(slot) = self.family.get_mut(&fkey) {
-            // Replacing a tombstone: its bytes were refunded when it
-            // failed (or it never held any), so only the delta counts.
-            let freed = slot.bytes;
-            self.stats.resident_bytes -= freed;
-            slot.state = FamState::Pending;
-            slot.token = ordinal;
-            slot.last_used = ordinal;
-            slot.cost = cost;
-            slot.bytes = bytes;
-            self.stats.resident_bytes += bytes;
-            return Evicted {
-                entries: 0,
-                bytes: freed,
-            };
-        }
-        let evicted = self.evict_to_cap();
-        self.family.insert(
-            fkey,
-            FamSlot {
-                state: FamState::Pending,
-                token: ordinal,
-                last_used: ordinal,
-                cost,
-                bytes,
-            },
-        );
-        self.stats.live += 1;
-        self.stats.resident_bytes += bytes;
-        evicted
+        self.install(|c| &mut c.family, fkey, ordinal, cost, bytes)
     }
 
     /// Resolve a `Pending` family slot to `Ready`. Token-gated;
@@ -498,29 +420,74 @@ impl ResultCache {
     /// snapshot clone — its install's bytes were refunded when the
     /// slot was evicted).
     pub fn fill_family(&mut self, fkey: u64, token: u64, entry: Arc<FamilyEntry>) -> bool {
-        match self.family.get_mut(&fkey) {
-            Some(slot) if slot.token == token && matches!(slot.state, FamState::Pending) => {
-                slot.state = FamState::Ready(entry);
-                self.stats.insertions += 1;
-                true
-            }
-            _ => false,
-        }
+        self.fill(|c| &mut c.family, fkey, token, entry)
     }
 
     /// Resolve a `Pending` family slot to `Failed`, releasing its
     /// bytes early. Returns the bytes the caller must refund to the
     /// ceiling (0 when the fail did not land).
     pub fn fail_family(&mut self, fkey: u64, token: u64) -> u64 {
-        match self.family.get_mut(&fkey) {
-            Some(slot) if slot.token == token && matches!(slot.state, FamState::Pending) => {
-                let bytes = std::mem::take(&mut slot.bytes);
-                self.stats.resident_bytes -= bytes;
-                slot.state = FamState::Failed;
-                bytes
-            }
-            _ => 0,
+        self.fail(|c| &mut c.family, fkey, token)
+    }
+
+    /// Install a `Pending` slot into the map `slots` picks, holding
+    /// `bytes`. Re-installing an existing key (a `Failed` tombstone)
+    /// replaces it in place: its bytes were refunded when it failed
+    /// (or it never held any), so only the difference counts.
+    fn install<T>(
+        &mut self,
+        slots: impl Fn(&mut Self) -> &mut Slots<T>,
+        key: u64,
+        ordinal: u64,
+        cost: u64,
+        bytes: u64,
+    ) -> Evicted {
+        let mut evicted = Evicted::default();
+        if !slots(self).contains_key(&key) {
+            evicted = self.evict_to_cap();
+            self.stats.live += 1;
         }
+        let slot = Slot {
+            state: SlotState::Pending,
+            token: ordinal,
+            last_used: ordinal,
+            cost: cost.max(1),
+            bytes,
+        };
+        let freed = slots(self).insert(key, slot).map_or(0, |old| old.bytes);
+        self.stats.resident_bytes = self.stats.resident_bytes - freed + bytes;
+        evicted.bytes += freed;
+        evicted
+    }
+
+    /// Resolve the `Pending` slot `key` of the map `slots` picks to
+    /// `Ready`, when `token` still owns it.
+    fn fill<T>(
+        &mut self,
+        slots: impl Fn(&mut Self) -> &mut Slots<T>,
+        key: u64,
+        token: u64,
+        value: Arc<T>,
+    ) -> bool {
+        let Some(slot) = pending(slots(self), key, token) else {
+            return false;
+        };
+        slot.state = SlotState::Ready(value);
+        self.stats.insertions += 1;
+        true
+    }
+
+    /// Resolve the `Pending` slot `key` to `Failed`, when `token` still
+    /// owns it, releasing its bytes; returns them (0 when the fail did
+    /// not land).
+    fn fail<T>(&mut self, slots: impl Fn(&mut Self) -> &mut Slots<T>, key: u64, token: u64) -> u64 {
+        let Some(slot) = pending(slots(self), key, token) else {
+            return 0;
+        };
+        slot.state = SlotState::Failed;
+        let bytes = std::mem::take(&mut slot.bytes);
+        self.stats.resident_bytes -= bytes;
+        bytes
     }
 
     /// Count one realized hit (served from a cached outcome).
@@ -569,13 +536,14 @@ impl ResultCache {
             let Some(victim) = full_victim.min(fam_victim) else {
                 break;
             };
-            if victim.2 == 0 {
-                self.full.remove(&victim.3);
+            let bytes = if victim.2 == 0 {
+                self.full.remove(&victim.3).map(|s| s.bytes)
             } else {
-                let slot = self.family.remove(&victim.3).expect("victim exists");
-                self.stats.resident_bytes -= slot.bytes;
-                out.bytes += slot.bytes;
+                self.family.remove(&victim.3).map(|s| s.bytes)
             }
+            .expect("victim exists");
+            self.stats.resident_bytes -= bytes;
+            out.bytes += bytes;
             self.stats.evictions += 1;
             self.stats.live -= 1;
             out.entries += 1;

@@ -278,7 +278,6 @@ impl Request {
         if let Some(e) = self.engine {
             let name = match e {
                 Engine::TreeWalk => "treewalk",
-                Engine::Tape => "tape",
                 Engine::ParTape => "partape",
             };
             fields.push(("engine".to_string(), Json::Str(name.to_string())));
@@ -311,7 +310,6 @@ impl Request {
 pub fn engine_from_str(s: &str) -> Result<Engine, String> {
     match s {
         "treewalk" => Ok(Engine::TreeWalk),
-        "tape" => Ok(Engine::Tape),
         "partape" => Ok(Engine::ParTape),
         other => Err(format!("unknown engine `{other}`")),
     }
@@ -640,16 +638,19 @@ fn verdicts_of(compiled: &Compiled) -> Verdicts {
     v
 }
 
-/// Fill `input` arrays deterministically from `seed` (the same scheme
-/// as the CLI's `--fill random`).
-fn fill_inputs(compiled: &Compiled, seed: u64) -> HashMap<String, ArrayBuf> {
-    let mut rng = XorShift::new(seed);
+/// Fill `input` arrays deterministically from `seed` (one decimal in
+/// `[0, 10]`), or with zeros when `seed` is `None` — the CLI's
+/// `--fill random:SEED` and `--fill zero`.
+pub fn fill_inputs(compiled: &Compiled, seed: Option<u64>) -> HashMap<String, ArrayBuf> {
+    let mut rng = seed.map(XorShift::new);
     let mut out = HashMap::new();
     for unit in &compiled.units {
         if let Unit::Input { name, bounds } = unit {
             let mut buf = ArrayBuf::new(bounds, 0.0);
-            for v in buf.data_mut() {
-                *v = (rng.next_f64() * 10.0).round() / 10.0;
+            if let Some(rng) = &mut rng {
+                for v in buf.data_mut() {
+                    *v = (rng.next_f64() * 10.0).round() / 10.0;
+                }
             }
             out.insert(name.clone(), buf);
         }
@@ -1619,7 +1620,7 @@ impl Server {
         family: Option<FamilyFill>,
         routed: bool,
     ) -> Response {
-        let inputs = fill_inputs(&adm.compiled, adm.seed);
+        let inputs = fill_inputs(&adm.compiled, Some(adm.seed));
         let funcs = FuncTable::new();
         let verdicts = Some(verdicts_of(&adm.compiled));
         let mut guard = FillGuard {
@@ -2059,7 +2060,7 @@ mod tests {
     fn request_json_round_trip() {
         let wire = r#"{"id":"r1","source":"param n;","params":{"n":4},
             "fuel":50,"mem_bytes":4096,"deadline_ms":7,"seed":9,
-            "engine":"tape","mode":"thunked","tenant":"acme","weight":3}"#;
+            "engine":"treewalk","mode":"thunked","tenant":"acme","weight":3}"#;
         let req = Request::from_json(&json::parse(wire).unwrap()).unwrap();
         assert_eq!(req.id, "r1");
         assert_eq!(req.params, vec![("n".to_string(), 4)]);
@@ -2067,7 +2068,7 @@ mod tests {
         assert_eq!(req.mem_bytes, Some(4096));
         assert_eq!(req.deadline_ms, Some(7));
         assert_eq!(req.seed, 9);
-        assert_eq!(req.engine, Some(Engine::Tape));
+        assert_eq!(req.engine, Some(Engine::TreeWalk));
         assert_eq!(req.mode, Some(ExecMode::ForceThunked));
         assert_eq!(req.tenant.as_deref(), Some("acme"));
         assert_eq!(req.weight, Some(3));
@@ -2079,6 +2080,12 @@ mod tests {
         assert_eq!(Request::from_json(&alias).unwrap().weight, Some(5));
         let zero = json::parse(r#"{"id":"p","source":"x","weight":0}"#).unwrap();
         assert!(Request::from_json(&zero).is_err());
+        // The sequential tape is ParTape at one thread, not an engine.
+        let tape = json::parse(r#"{"id":"t","source":"x","engine":"tape"}"#).unwrap();
+        assert_eq!(
+            Request::from_json(&tape).unwrap_err(),
+            "unknown engine `tape`"
+        );
     }
 
     #[test]
@@ -2158,9 +2165,19 @@ mod tests {
         r
     }
 
+    /// Default options with the empty fault plan pinned: an ambient
+    /// `HAC_FAULT_PLAN` would otherwise bypass the result cache the
+    /// tests below exercise.
+    fn cached() -> ServeOptions {
+        ServeOptions {
+            faults: Some(FaultPlan::default()),
+            ..ServeOptions::default()
+        }
+    }
+
     #[test]
     fn repeat_requests_hit_the_result_cache() {
-        let server = Server::new(ServeOptions::default());
+        let server = Server::new(cached());
         let a = server.handle(&req("a", 16));
         let b = server.handle(&req("b", 16));
         assert_eq!(a.result_cache, Some(ResultClass::Miss));
@@ -2195,7 +2212,7 @@ mod tests {
                 fuel: Some(100),
                 mem_bytes: None,
             },
-            ..ServeOptions::default()
+            ..cached()
         });
         assert_eq!(server.handle(&req("a", 16)).status, Status::Ok);
         assert_eq!(server.ceiling().fuel_available(), 100 - 15);
@@ -2209,7 +2226,7 @@ mod tests {
 
     #[test]
     fn sliding_update_params_serve_deltas_byte_identically() {
-        let server = Server::new(ServeOptions::default());
+        let server = Server::new(cached());
         let a = server.handle(&poke("a", 8, 3, 55));
         assert_eq!(a.status, Status::Ok, "{:?}", a.error);
         assert_eq!(a.result_cache, Some(ResultClass::Miss));
@@ -2220,7 +2237,7 @@ mod tests {
         // Byte-identical to a cold full run of the same request.
         let cold = Server::new(ServeOptions {
             result_cache_cap: 0,
-            ..ServeOptions::default()
+            ..cached()
         });
         let c = cold.handle(&poke("c", 8, 5, 99));
         assert_eq!(c.result_cache, None);
@@ -2236,7 +2253,7 @@ mod tests {
         // A fuel budget the *prefix alone* fits but the whole run does
         // not: the probe exhausts mid-delta, and the fallback full run
         // must reproduce the cold error class and text.
-        let server = Server::new(ServeOptions::default());
+        let server = Server::new(cached());
         let mut warm = poke("warm", 8, 3, 55);
         warm.fuel = Some(1_000);
         assert_eq!(server.handle(&warm).status, Status::Ok);
@@ -2245,7 +2262,7 @@ mod tests {
         let t = server.handle(&tight);
         let cold = Server::new(ServeOptions {
             result_cache_cap: 0,
-            ..ServeOptions::default()
+            ..cached()
         });
         let mut ctl = poke("ctl", 8, 5, 99);
         ctl.fuel = Some(8);
@@ -2265,7 +2282,7 @@ mod tests {
             req("c", 17),
             poke("p3", 8, 3, 55),
         ];
-        let options = ServeOptions::default();
+        let options = cached();
         let predicted = Server::predicted_result_classes(&options, &reqs);
         assert_eq!(
             predicted,

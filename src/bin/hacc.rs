@@ -9,8 +9,9 @@
 //!
 //! options:
 //!   --mode auto|thunked|checked   execution strategy (default auto)
-//!   --engine treewalk|tape|partape  evaluation engine (default partape)
-//!   --threads N                   ParTape worker count (default: all cores)
+//!   --engine partape|treewalk     evaluation engine (default partape)
+//!   --threads N                   ParTape worker count (default: all cores;
+//!                                 1 runs the sequential tape path)
 //!   --fill zero|random[:SEED]     how to fill `input` arrays (default random)
 //!   --fuel N                      abort after N metered ops (loop iterations + calls)
 //!   --mem-limit BYTES             cap bytes of array payload allocated
@@ -79,7 +80,6 @@
 //! `serve` report per-request statuses in their JSON output and exit 0
 //! whenever the batch itself was processed.
 
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
@@ -89,11 +89,12 @@ use hac::core::pipeline::{
 };
 use hac::lang::parser::parse_program;
 use hac::lang::ConstEnv;
-use hac::serve::{engine_from_str, json, mode_from_str, Request, ServeOptions, Server};
+use hac::serve::{
+    engine_from_str, fill_inputs, json, mode_from_str, Request, ServeOptions, Server,
+};
 use hac_runtime::governor::{FaultPlan, Limits};
 use hac_runtime::value::{ArrayBuf, FuncTable};
 use hac_runtime::RuntimeError;
-use hac_workloads::XorShift;
 
 struct Options {
     file: String,
@@ -116,7 +117,7 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: hacc PROGRAM.hac [name=value ...] \
-     [--mode auto|thunked|checked] [--engine treewalk|tape|partape] \
+     [--mode auto|thunked|checked] [--engine partape|treewalk] \
      [--threads N] [--fill zero|random[:SEED]] \
      [--fuel N] [--mem-limit BYTES] [--deadline-ms N] [--fault-plan SPEC] \
      [--no-run] [--no-fuse] [--quiet] [--print NAME]\n\
@@ -129,14 +130,21 @@ fn usage() -> &'static str {
      [--max-line-bytes N] [--chaos-plan SPEC] [same options as batch]"
 }
 
+/// `flag`'s value as a positive count (`--threads`, `--workers`).
+fn positive(flag: &str, value: Option<String>) -> Result<usize, String> {
+    let n = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    n.parse()
+        .ok()
+        .filter(|&n: &usize| n >= 1)
+        .ok_or_else(|| format!("{flag} needs a positive integer, got `{n}`"))
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
     let mut opts = Options {
         file: String::new(),
         env: ConstEnv::new(),
         mode: ExecMode::Auto,
-        // The CLI defaults to the parallel engine; the library default
-        // stays `Engine::Tape` so embedders opt in explicitly.
         engine: Engine::ParTape,
         threads: default_threads(),
         limits: Limits::default(),
@@ -155,30 +163,13 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--mode" => {
                 let m = args.next().ok_or("--mode needs a value")?;
-                opts.mode = match m.as_str() {
-                    "auto" => ExecMode::Auto,
-                    "thunked" => ExecMode::ForceThunked,
-                    "checked" => ExecMode::ForceChecked,
-                    other => return Err(format!("unknown mode `{other}`")),
-                };
+                opts.mode = mode_from_str(&m)?;
             }
             "--engine" => {
                 let e = args.next().ok_or("--engine needs a value")?;
-                opts.engine = match e.as_str() {
-                    "treewalk" => Engine::TreeWalk,
-                    "tape" => Engine::Tape,
-                    "partape" => Engine::ParTape,
-                    other => return Err(format!("unknown engine `{other}`")),
-                };
+                opts.engine = engine_from_str(&e)?;
             }
-            "--threads" => {
-                let n = args.next().ok_or("--threads needs a value")?;
-                opts.threads = n
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| format!("--threads needs a positive integer, got `{n}`"))?;
-            }
+            "--threads" => opts.threads = positive("--threads", args.next())?,
             "--fill" => {
                 let f = args.next().ok_or("--fill needs a value")?;
                 if f == "zero" {
@@ -251,26 +242,6 @@ fn parse_args() -> Result<Options, String> {
         return Err(usage().to_string());
     }
     Ok(opts)
-}
-
-fn fill_inputs(
-    compiled: &hac::core::pipeline::Compiled,
-    opts: &Options,
-) -> HashMap<String, ArrayBuf> {
-    let mut rng = XorShift::new(opts.seed);
-    let mut out = HashMap::new();
-    for unit in &compiled.units {
-        if let Unit::Input { name, bounds } = unit {
-            let mut buf = ArrayBuf::new(bounds, 0.0);
-            if opts.fill_random {
-                for v in buf.data_mut() {
-                    *v = (rng.next_f64() * 10.0).round() / 10.0;
-                }
-            }
-            out.insert(name.clone(), buf);
-        }
-    }
-    out
 }
 
 fn print_array(name: &str, buf: &ArrayBuf) {
@@ -378,22 +349,8 @@ fn parse_serve_args(mut args: std::env::Args) -> Result<ServeCli, String> {
                 let m = args.next().ok_or("--mode needs a value")?;
                 mode = mode_from_str(&m)?;
             }
-            "--threads" => {
-                let n = args.next().ok_or("--threads needs a value")?;
-                threads = n
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| format!("--threads needs a positive integer, got `{n}`"))?;
-            }
-            "--workers" => {
-                let n = args.next().ok_or("--workers needs a value")?;
-                workers = n
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| format!("--workers needs a positive integer, got `{n}`"))?;
-            }
+            "--threads" => threads = positive("--threads", args.next())?,
+            "--workers" => workers = positive("--workers", args.next())?,
             "--ceiling-fuel" => ceiling.fuel = Some(uint("--ceiling-fuel")?),
             "--ceiling-mem" => ceiling.mem_bytes = Some(uint("--ceiling-mem")?),
             "--stripes" => stripes = uint("--stripes")?.max(1) as usize,
@@ -764,7 +721,7 @@ fn main() -> ExitCode {
     if !opts.run_it {
         return ExitCode::SUCCESS;
     }
-    let inputs = fill_inputs(&compiled, &opts);
+    let inputs = fill_inputs(&compiled, opts.fill_random.then_some(opts.seed));
     let run_opts = RunOptions {
         threads: Some(opts.threads),
         limits: opts.limits,

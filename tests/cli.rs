@@ -87,12 +87,31 @@ fn failure_classes_get_distinct_exit_codes() {
     // Usage error: 1.
     let out = hacc(&["--threads", "zero"]);
     assert_eq!(out.status.code(), Some(1), "usage errors exit 1");
+    // The sequential tape is `--threads 1`, not an engine.
+    let out = hacc(&["programs/wavefront.hac", "n=4", "--engine", "tape"]);
+    assert_eq!(out.status.code(), Some(1), "usage errors exit 1");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown engine `tape`"));
 
     // Parse error: 2, with a diagnostic on stderr.
     std::fs::write("target/cli_parse_err.hac", "let let let := ;;\n").unwrap();
     let out = hacc(&["target/cli_parse_err.hac", "n=3"]);
     assert_eq!(out.status.code(), Some(2), "parse errors exit 2");
     assert!(String::from_utf8_lossy(&out.stderr).contains("parse error"));
+
+    // Compile error: 2, also for parameters that size an array past
+    // allocatable bounds — never a panic in the input fill.
+    for (n, why) in [
+        ("-5", "invalid bounds (1,-5)"),
+        ("9223372036854775807", "too large"),
+    ] {
+        let out = hacc(&["programs/jacobi.hac", &format!("n={n}"), "--quiet"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "n={n}: {stderr}");
+        assert!(
+            stderr.contains(why) && !stderr.contains("panicked"),
+            "n={n}: {stderr}"
+        );
+    }
 
     // Runtime error: 3.
     std::fs::write(
@@ -241,6 +260,55 @@ fn scalar_reductions_printed() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("scalar `s` = 0"), "{stdout}");
+}
+
+/// A serve stream answers every line with one structured response and
+/// keeps going: a retired engine name, a negative extent and an
+/// overflowing one (the largest integer the JSON wire carries exactly)
+/// each get their error, and the request after them still runs.
+#[test]
+fn serve_stream_survives_bad_requests() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hacc"))
+        .arg("serve")
+        .env_remove("HAC_FAULT_PLAN")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hacc serve");
+    let lines = [
+        r#"{"id":"tape","file":"programs/wavefront.hac","params":{"n":4},"engine":"tape"}"#,
+        r#"{"id":"neg","file":"programs/jacobi.hac","params":{"n":-5}}"#,
+        r#"{"id":"huge","file":"programs/jacobi.hac","params":{"n":9007199254740991}}"#,
+        r#"{"id":"ok","file":"programs/wavefront.hac","params":{"n":4}}"#,
+    ];
+    let mut stdin = child.stdin.take().unwrap();
+    for line in lines {
+        writeln!(stdin, "{line}").unwrap();
+    }
+    drop(stdin);
+    let out = child.wait_with_output().expect("hacc serve exits");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let want: [&[&str]; 4] = [
+        &[r#""status":"rejected","error":"bad-request","detail":"unknown engine `tape`""#],
+        &[
+            r#""id":"neg","status":"compile_error""#,
+            "invalid bounds (1,-5)",
+        ],
+        &[r#""id":"huge","status":"compile_error""#, "too large"],
+        &[r#""id":"ok","status":"ok""#],
+    ];
+    assert_eq!(stdout.lines().count(), want.len(), "{stdout}");
+    for (response, needles) in stdout.lines().zip(want) {
+        for needle in needles {
+            assert!(response.contains(needle), "{response}");
+        }
+    }
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Soundness of compile-time cost certificates (the `CostCert` the
 //! pipeline attaches to every `Compiled`): for every shipped program
 //! and parameter rung, running with limits set *exactly* to the
-//! evaluated certificate must succeed — on the tree-walker, the
-//! sequential tape, and ParTape at 1/2/4/8 threads, fused and unfused.
+//! evaluated certificate must succeed — on the tree-walker and on
+//! ParTape at 1/2/4/8 threads (one thread is the sequential tape
+//! path), fused and unfused.
 //! Success at `limits == cert` is the oracle "metered usage ≤
 //! certificate" for both resources at once, because the meter is the
 //! thing that would have stopped the run.
@@ -98,7 +99,7 @@ fn builds(src: &str, n: i64) -> Vec<(Engine, bool, Compiled)> {
     let program = parse_program(src).unwrap();
     let env = ConstEnv::from_pairs([("n", n)]);
     let mut out = Vec::new();
-    for engine in [Engine::TreeWalk, Engine::Tape, Engine::ParTape] {
+    for engine in [Engine::TreeWalk, Engine::ParTape] {
         for fuse in [false, true] {
             let compiled = compile(
                 &program,

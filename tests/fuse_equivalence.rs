@@ -4,10 +4,10 @@
 //! bit-identical array values, the same error payloads, the same work
 //! counters (including `tape_ops`, which fused loops bulk-charge by
 //! the closed-form contract in `hac_codegen::tape`), and the same
-//! remaining fuel — on the sequential tape and on ParTape at 1/2/4/8
-//! threads, under tight fuel and memory budgets, and with injected
-//! worker faults. The scalar tape is the oracle; fusion is pure
-//! mechanism.
+//! remaining fuel — on ParTape at 1/2/4/8 threads (one thread is the
+//! sequential tape), under tight fuel and memory budgets, and with
+//! injected worker faults. The scalar tape is the oracle; fusion is
+//! pure mechanism.
 
 use std::collections::HashMap;
 
@@ -16,7 +16,7 @@ use hac_codegen::limp::{LProgram, LStmt, StoreCheck, Vm, VmCounters};
 use hac_codegen::partape::plan_tape;
 use hac_codegen::tape::{compile_tape, TapeCtx};
 use hac_core::pipeline::{
-    compile, run_with_options, CompileOptions, Compiled, Engine, ExecOutput, RunOptions,
+    compile, run_with_options, CompileOptions, Compiled, ExecOutput, RunOptions,
 };
 use hac_lang::ast::{BinOp, Expr, UnOp};
 use hac_lang::env::ConstEnv;
@@ -82,12 +82,11 @@ fn hermetic() {
     hac_codegen::suppress_env_fault_plan();
 }
 
-fn build(program: &hac_lang::ast::Program, env: &ConstEnv, engine: Engine, fuse: bool) -> Compiled {
+fn build(program: &hac_lang::ast::Program, env: &ConstEnv, fuse: bool) -> Compiled {
     compile(
         program,
         env,
         &CompileOptions {
-            engine,
             fuse,
             ..CompileOptions::default()
         },
@@ -95,11 +94,12 @@ fn build(program: &hac_lang::ast::Program, env: &ConstEnv, engine: Engine, fuse:
     .unwrap()
 }
 
-/// Compile `src` with and without fusion on both tape engines, run
-/// every build under `limits` at every thread count, and demand that
-/// the fused runs match the unfused sequential-tape oracle exactly.
-/// Returns true when the fused build actually contains a fused loop
-/// (so callers can assert the suite is not vacuously passing).
+/// Compile `src` with and without fusion, run both builds under
+/// `limits` at every thread count, and demand that every run matches
+/// the unfused build at one thread (the scalar sequential-tape oracle)
+/// exactly. Returns true when the fused build actually contains a
+/// fused loop (so callers can assert the suite is not vacuously
+/// passing).
 fn diff_fusion(
     label: &str,
     src: &str,
@@ -109,10 +109,8 @@ fn diff_fusion(
 ) -> bool {
     let program = parse_program(src).unwrap();
     let funcs = FuncTable::new();
-    let tape_plain = build(&program, env, Engine::Tape, false);
-    let tape_fused = build(&program, env, Engine::Tape, true);
-    let par_plain = build(&program, env, Engine::ParTape, false);
-    let par_fused = build(&program, env, Engine::ParTape, true);
+    let plain = build(&program, env, false);
+    let fused = build(&program, env, true);
 
     let opts = |threads| RunOptions {
         threads: Some(threads),
@@ -120,28 +118,16 @@ fn diff_fusion(
         faults: None,
         ceiling: None,
     };
-    let want = snapshot(&run_with_options(&tape_plain, inputs, &funcs, &opts(1)));
-    let got = snapshot(&run_with_options(&tape_fused, inputs, &funcs, &opts(1)));
-    assert_eq!(got, want, "{label} {limits:?}: fused tape vs scalar tape");
+    let want = snapshot(&run_with_options(&plain, inputs, &funcs, &opts(1)));
     for threads in THREADS {
-        let plain = snapshot(&run_with_options(
-            &par_plain,
-            inputs,
-            &funcs,
-            &opts(threads),
-        ));
-        let fused = snapshot(&run_with_options(
-            &par_fused,
-            inputs,
-            &funcs,
-            &opts(threads),
-        ));
+        let got_plain = snapshot(&run_with_options(&plain, inputs, &funcs, &opts(threads)));
+        let got_fused = snapshot(&run_with_options(&fused, inputs, &funcs, &opts(threads)));
         assert_eq!(
-            plain, want,
+            got_plain, want,
             "{label} {limits:?}: scalar partape @{threads}t vs scalar tape"
         );
         assert_eq!(
-            fused, want,
+            got_fused, want,
             "{label} {limits:?}: fused partape @{threads}t vs scalar tape"
         );
     }
@@ -155,10 +141,10 @@ fn diff_fusion(
             .any(|f| f.contains(": fused ("))
     };
     assert!(
-        !fused_somewhere(&tape_plain),
+        !fused_somewhere(&plain),
         "{label}: fuse:false must not run the pass"
     );
-    fused_somewhere(&tape_fused)
+    fused_somewhere(&fused)
 }
 
 fn fuel(n: u64) -> Limits {
@@ -345,8 +331,8 @@ fn fused_runs_absorb_injected_faults_identically() {
     let inputs = HashMap::from([("a".to_string(), wl::random_matrix(16, 16, 61))]);
     let program = parse_program(wl::jacobi_step_source()).unwrap();
     let funcs = FuncTable::new();
-    let plain = build(&program, &env, Engine::ParTape, false);
-    let fused = build(&program, &env, Engine::ParTape, true);
+    let plain = build(&program, &env, false);
+    let fused = build(&program, &env, true);
 
     // The harness is hermetic to an ambient `HAC_FAULT_PLAN`, so the
     // default (no explicit plan) is a genuinely fault-free baseline.

@@ -75,8 +75,9 @@ proptest! {
 
     /// Whole pipeline, generated-but-plausible programs, tight fuel and
     /// memory budgets: every engine must come back with `Ok` or a
-    /// structured error — never a panic, never a hang — and all three
-    /// engines must agree on the outcome.
+    /// structured error — never a panic, never a hang — and both
+    /// engines, ParTape at one and at four threads, must agree on the
+    /// outcome.
     #[test]
     fn pipeline_respects_limits_without_panicking(
         toks in proptest::collection::vec(
@@ -112,7 +113,7 @@ proptest! {
         let funcs = FuncTable::new();
         let limits = Limits { fuel: Some(fuel), mem_bytes: Some(mem) };
         let mut outcomes = Vec::new();
-        for engine in [Engine::TreeWalk, Engine::Tape, Engine::ParTape] {
+        for engine in [Engine::TreeWalk, Engine::ParTape] {
             let compiled = match compile(
                 &program,
                 &env,

@@ -1,6 +1,7 @@
 //! Differential tests for resource governance: a fuel or memory cap
-//! must produce *identical* behaviour on every engine — tree-walker,
-//! sequential tape, and ParTape at 1/2/4/8 threads. Either every
+//! must produce *identical* behaviour on every engine — tree-walker
+//! and ParTape at 1/2/4/8 threads (one thread is the sequential tape,
+//! which the `Vm`-level properties also run directly). Either every
 //! engine completes with bit-identical output, or every engine fails
 //! with the same `RuntimeError` (Debug-rendered, for payload parity).
 //!
@@ -71,8 +72,9 @@ fn outcome(r: &Result<ExecOutput, hac_runtime::RuntimeError>) -> Outcome {
 }
 
 /// Compile `src` once per engine; run each build under `limits` and
-/// demand identical outcomes across all engines and thread counts.
-/// Returns the sequential-tape outcome for extra assertions.
+/// demand identical outcomes across both engines and every thread
+/// count. Returns the sequential-tape outcome (ParTape at one thread)
+/// for extra assertions.
 /// Harness hermeticity: every run driver calls this first, so the
 /// whole binary ignores an ambient `HAC_FAULT_PLAN` (the CI
 /// fault-injection job exports one for CLI smoke runs). A test that
@@ -104,7 +106,6 @@ fn diff_limits(
         .unwrap_or_else(|e| panic!("{label}: compile: {e}"))
     };
     let tree = build(Engine::TreeWalk);
-    let tape = build(Engine::Tape);
     let par = build(Engine::ParTape);
 
     let opts = RunOptions {
@@ -113,7 +114,7 @@ fn diff_limits(
         faults: None,
         ceiling: None,
     };
-    let want = outcome(&run_with_options(&tape, inputs, &funcs, &opts));
+    let want = outcome(&run_with_options(&par, inputs, &funcs, &opts));
     let tree_got = outcome(&run_with_options(&tree, inputs, &funcs, &opts));
     assert_eq!(
         tree_got, want,
@@ -564,8 +565,8 @@ proptest! {
 
 /// Fusion-rich kernels under a fuel ladder dense around the exhaustion
 /// points of their innermost loops, plus memory caps. Each rung runs
-/// `fuse: true` and `fuse: false` builds on both tape engines at
-/// 1/2/4/8 threads and demands the same outcome (values, errors,
+/// `fuse: true` and `fuse: false` builds on ParTape at 1/2/4/8 threads
+/// and demands the same outcome (values, errors,
 /// counters, fuel left — `ExecOutput::fuel_left` is part of the
 /// compared surface via `diff_limits`'s per-engine assertions below).
 #[test]
@@ -596,22 +597,18 @@ fn fused_and_unfused_builds_hit_limits_identically() {
     let funcs = FuncTable::new();
     for (label, src, env, inputs) in &kernels {
         let program = parse_program(src).unwrap();
-        let mut builds = Vec::new();
-        for engine in [Engine::Tape, Engine::ParTape] {
-            for fuse in [false, true] {
-                let compiled = compile(
-                    &program,
-                    env,
-                    &CompileOptions {
-                        engine,
-                        fuse,
-                        ..CompileOptions::default()
-                    },
-                )
-                .unwrap();
-                builds.push((engine, fuse, compiled));
-            }
-        }
+        let builds = [false, true].map(|fuse| {
+            let compiled = compile(
+                &program,
+                env,
+                &CompileOptions {
+                    fuse,
+                    ..CompileOptions::default()
+                },
+            )
+            .unwrap();
+            (fuse, compiled)
+        });
         // A ladder dense around small budgets (mid-kernel exhaustion on
         // every rung below completion) plus memory caps.
         let rungs: Vec<Limits> = [0u64, 1, 2, 3, 5, 8, 13, 37, 99, 100, 257, 1000, 100_000]
@@ -621,13 +618,8 @@ fn fused_and_unfused_builds_hit_limits_identically() {
             .collect();
         for limits in rungs {
             let mut want: Option<(Outcome, Option<u64>)> = None;
-            for (engine, fuse, compiled) in &builds {
-                let threads: &[usize] = if *engine == Engine::ParTape {
-                    &THREADS
-                } else {
-                    &[1]
-                };
-                for &t in threads {
+            for (fuse, compiled) in &builds {
+                for t in THREADS {
                     let opts = RunOptions {
                         threads: Some(t),
                         limits,
@@ -641,7 +633,7 @@ fn fused_and_unfused_builds_hit_limits_identically() {
                         None => want = Some(got),
                         Some(w) => assert_eq!(
                             &got, w,
-                            "{label} {limits:?}: {engine:?} fuse={fuse} @{t}t \
+                            "{label} {limits:?}: fuse={fuse} @{t}t \
                              diverged from the scalar-tape baseline"
                         ),
                     }
@@ -684,7 +676,7 @@ fn diff_ceiling(
     let want = diff_limits(label, src, env, inputs, limits);
     let program = parse_program(src).unwrap();
     let funcs = FuncTable::new();
-    for engine in [Engine::TreeWalk, Engine::Tape, Engine::ParTape] {
+    for engine in [Engine::TreeWalk, Engine::ParTape] {
         let compiled = compile(
             &program,
             env,
@@ -771,7 +763,7 @@ fn lazy_ceiling_draws_exhaust_identically_everywhere() {
     let funcs = FuncTable::new();
     for pool_fuel in [0u64, 23, 1009, 1 << 30] {
         let mut outcomes: Vec<(String, Outcome)> = Vec::new();
-        for engine in [Engine::TreeWalk, Engine::Tape, Engine::ParTape] {
+        for engine in [Engine::TreeWalk, Engine::ParTape] {
             let compiled = compile(
                 &program,
                 &env,

@@ -6,8 +6,9 @@
 //! server, across every engine, thread count, and fusion mode:
 //!
 //!   * the (cold, warm hit, warm delta) triple for each bigupd-rooted
-//!     `programs/*.hac` kernel, over engines {treewalk, tape, partape}
-//!     × threads {1, 2, 4, 8} × {fuse, no-fuse};
+//!     `programs/*.hac` kernel, over engines {treewalk, partape}
+//!     × threads {1, 2, 4, 8} × {fuse, no-fuse} (partape at one thread
+//!     is the sequential tape);
 //!   * fuel and memory limit ladders: exhaustion mid-delta must fall
 //!     back to the metered full run and reproduce the cold error
 //!     byte-for-byte;
@@ -33,7 +34,7 @@ use hac_runtime::governor::FaultPlan;
 use hac_workloads::XorShift;
 use proptest::prelude::*;
 
-const ENGINES: [Engine; 3] = [Engine::TreeWalk, Engine::Tape, Engine::ParTape];
+const ENGINES: [Engine; 2] = [Engine::TreeWalk, Engine::ParTape];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// One bigupd-rooted kernel with a base parameter set and a "slide"

@@ -13,11 +13,9 @@
 use std::collections::HashMap;
 
 use hac_codegen::limp::{LProgram, LStmt, StoreCheck, Vm, VmCounters};
-use hac_codegen::partape::{plan_tape, ParPlan};
+use hac_codegen::partape::plan_tape;
 use hac_codegen::tape::{compile_tape, TapeCtx};
-use hac_core::pipeline::{
-    compile, run, run_with_threads, CompileOptions, Compiled, Engine, ExecOutput, Unit,
-};
+use hac_core::pipeline::{compile, run_with_threads, CompileOptions, Compiled, ExecOutput, Unit};
 use hac_lang::ast::{BinOp, Expr, UnOp};
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::parse_program;
@@ -77,17 +75,14 @@ fn par_regions(compiled: &Compiled) -> usize {
         .units
         .iter()
         .map(|u| match u {
-            Unit::Thunkless { par, .. } | Unit::Update { par, .. } => {
-                par.as_ref().map_or(0, ParPlan::region_count)
+            Unit::Thunkless { tape, .. } | Unit::Update { tape, .. } => {
+                tape.as_ref().map_or(0, |t| t.plan.region_count())
             }
             _ => 0,
         })
         .sum()
 }
 
-/// Compile under `Engine::Tape` and `Engine::ParTape`, run the parallel
-/// build at every thread count against the sequential baseline, and
-/// return the parallel compilation for region assertions.
 /// Harness hermeticity: every run driver calls this first, so the
 /// whole binary ignores an ambient `HAC_FAULT_PLAN` (the CI
 /// fault-injection job exports one for CLI smoke runs). Faults in
@@ -96,6 +91,9 @@ fn hermetic() {
     hac_codegen::suppress_env_fault_plan();
 }
 
+/// Compile under `Engine::ParTape`, run it at every thread count
+/// against the same compilation at one thread (the sequential tape
+/// path), and return the compilation for region assertions.
 fn diff_kernel(
     label: &str,
     src: &str,
@@ -105,15 +103,10 @@ fn diff_kernel(
     hermetic();
     let program = parse_program(src).unwrap();
     let funcs = FuncTable::new();
-    let opts = |engine| CompileOptions {
-        engine,
-        ..CompileOptions::default()
-    };
-    let seq = compile(&program, env, &opts(Engine::Tape))
-        .unwrap_or_else(|e| panic!("{label}: compile(tape): {e}"));
-    let par = compile(&program, env, &opts(Engine::ParTape))
+    let par = compile(&program, env, &CompileOptions::default())
         .unwrap_or_else(|e| panic!("{label}: compile(partape): {e}"));
-    let want = run(&seq, inputs, &funcs).unwrap_or_else(|e| panic!("{label}: run(tape): {e}"));
+    let want = run_with_threads(&par, inputs, &funcs, 1)
+        .unwrap_or_else(|e| panic!("{label}: run(partape, sequential): {e}"));
     for threads in THREADS {
         let got = run_with_threads(&par, inputs, &funcs, threads)
             .unwrap_or_else(|e| panic!("{label}: run(partape, {threads}): {e}"));

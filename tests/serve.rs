@@ -131,7 +131,7 @@ fn cache_hits_skip_the_front_end() {
 fn cache_is_keyed_by_mode_and_engine_too() {
     let server = Server::new(ServeOptions::default());
     let mut a = request("a", wl::wavefront_source(), 8);
-    a.engine = Some(Engine::Tape);
+    a.engine = Some(Engine::ParTape);
     let mut b = request("b", wl::wavefront_source(), 8);
     b.engine = Some(Engine::TreeWalk);
     let mut c = request("c", wl::wavefront_source(), 8);
@@ -208,8 +208,13 @@ fn batch_covers_every_status_class() {
     let mut metered = request("metered", wl::sor_source(), 10);
     metered.fuel = Some(3);
     let ok = light_request("ok");
+    // Parameters that size an input past allocatable bounds are
+    // compile errors, not panics in the input fill: a negative extent,
+    // and an element count that overflows.
+    let negative = request("negative", wl::jacobi_source(), -5);
+    let huge = request("huge", wl::jacobi_source(), i64::MAX);
 
-    let out = server.run_batch(&[ok, starved, over, broken, metered], 2);
+    let out = server.run_batch(&[ok, starved, over, broken, metered, negative, huge], 2);
     assert_eq!(out[0].status, Status::Ok);
     assert_eq!(out[1].status, Status::OverCertificate);
     assert_eq!(out[2].status, Status::Rejected);
@@ -221,6 +226,16 @@ fn batch_covers_every_status_class() {
     assert_eq!(out[2].id, "over");
     assert_eq!(out[3].id, "broken");
     assert_eq!(out[4].id, "metered");
+    assert_eq!(out[5].id, "negative");
+    assert_eq!(out[6].id, "huge");
+    assert_eq!(
+        out[5].error.as_deref(),
+        Some("compile error: array `a` dimension 0 has invalid bounds (1,-5): hi < lo - 1")
+    );
+    assert_eq!(
+        out[6].error.as_deref(),
+        Some("compile error: array `a` is too large: its element count or byte size overflows")
+    );
     // The wire form spells them as the CI smoke expects.
     assert_eq!(
         out.iter().map(|r| r.status.as_str()).collect::<Vec<_>>(),
@@ -229,7 +244,9 @@ fn batch_covers_every_status_class() {
             "over-certificate",
             "rejected",
             "compile_error",
-            "limit"
+            "limit",
+            "compile_error",
+            "compile_error"
         ]
     );
     // The certificate ledger saw every admission that compiled.

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use hac_codegen::limp::{LProgram, LStmt, StoreCheck, Vm, VmCounters};
 use hac_codegen::tape::{compile_tape, TapeCtx};
-use hac_core::pipeline::{compile, run, CompileOptions, Engine, ExecOutput};
+use hac_core::pipeline::{compile, run, run_with_threads, CompileOptions, Engine, ExecOutput};
 use hac_lang::ast::{BinOp, Expr, UnOp};
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::parse_program;
@@ -61,7 +61,8 @@ fn assert_outputs_identical(tape: &ExecOutput, tree: &ExecOutput, label: &str) {
     );
 }
 
-/// Compile under both engines, run both, demand identical output.
+/// Compile for the tape (the default engine) and the tree walker, run
+/// both, demand identical output.
 /// Returns the tape run for extra assertions.
 fn diff_kernel(
     label: &str,
@@ -71,15 +72,8 @@ fn diff_kernel(
 ) -> ExecOutput {
     let program = parse_program(src).unwrap();
     let funcs = FuncTable::new();
-    let tape = compile(
-        &program,
-        env,
-        &CompileOptions {
-            engine: Engine::Tape,
-            ..CompileOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("{label}: compile(tape): {e}"));
+    let tape = compile(&program, env, &CompileOptions::default())
+        .unwrap_or_else(|e| panic!("{label}: compile(tape): {e}"));
     let tree = compile(
         &program,
         env,
@@ -89,7 +83,9 @@ fn diff_kernel(
         },
     )
     .unwrap_or_else(|e| panic!("{label}: compile(tree): {e}"));
-    let t = run(&tape, inputs, &funcs).unwrap_or_else(|e| panic!("{label}: run(tape): {e}"));
+    // ParTape at one thread is the sequential tape path.
+    let t = run_with_threads(&tape, inputs, &funcs, 1)
+        .unwrap_or_else(|e| panic!("{label}: run(tape): {e}"));
     let w = run(&tree, inputs, &funcs).unwrap_or_else(|e| panic!("{label}: run(tree): {e}"));
     assert_outputs_identical(&t, &w, label);
     t
