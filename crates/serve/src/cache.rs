@@ -1,22 +1,22 @@
-//! A bounded, deterministically-evicting compiled-program cache.
+//! The server's two bounded caches — compiled programs and evaluated
+//! results — over one deterministically-evicting map, [`CostLru`].
 //!
-//! The unbounded `HashMap` the server used before this module was a
-//! footgun: a tenant cycling unique programs grows the process without
-//! limit. `ProgramCache` holds at most `cap` entries and evicts by a
-//! **cost-aware LRU** rule whose clock is the *admission ordinal* —
-//! the dense per-request counter handed out by
+//! An unbounded `HashMap` is a footgun: a tenant cycling unique
+//! programs grows the process without limit. A [`CostLru`] holds at
+//! most `cap` entries and evicts by a **cost-aware LRU** rule whose
+//! clock is the *admission ordinal* — the dense per-request counter
+//! handed out by
 //! [`SharedCeiling::take_ordinal`](hac_runtime::governor::SharedCeiling::take_ordinal)
 //! — never wall time. Eviction is therefore a pure function of the
 //! request sequence: the same workload always evicts the same entries
 //! in the same order, at any worker count (admission is sequential).
 //!
 //! The victim rule: evict the entry minimizing
-//! `(last_used + cost, last_used, key)`, where `cost` is the number of
-//! compiled units in the program — a deterministic proxy for how
-//! expensive the entry is to rebuild. Costlier programs thus survive a
-//! few ordinals longer than cheap ones touched at the same time, and
-//! the final `key` component makes the choice total even for equal
-//! scores.
+//! `(last_used + cost, last_used, key)`, where `cost` is a
+//! deterministic proxy for how expensive the entry is to rebuild (the
+//! number of compiled units). Costlier entries thus survive a few
+//! ordinals longer than cheap ones touched at the same time, and the
+//! final `key` component makes the choice total even for equal scores.
 //!
 //! Evicting is never incorrect, only slower: a re-admitted evicted
 //! program recompiles from the same source and parameters, and the
@@ -30,26 +30,111 @@
 
 //! ## The materialized-result cache
 //!
-//! [`ResultCache`] lives next to the program cache and shares its
-//! ordinal clock and victim rule, but caches *evaluated outcomes*:
-//! full entries memoize a request's terminal response fields (digests,
-//! fuel left, error class), and family entries snapshot the execution
-//! state of a `bigupd`-rooted program just before its trailing update
-//! so sliding-parameter requests replay only the update (the delta
-//! path). Determinism is preserved by doing every membership change —
-//! install and eviction — on the sequential admission path; execution
-//! threads only *resolve* slots in place (`Pending → Ready/Failed`)
-//! and never alter membership or recency. Family snapshots hold real
-//! arrays, so their bytes are charged to the shared ceiling by the
-//! server at install and refunded on eviction or failure
-//! (`ResultCacheStats::resident_bytes` tracks the residency).
+//! [`ResultCache`] caches *evaluated outcomes* in one [`CostLru`] on
+//! the program cache's ordinal clock: full slots memoize a request's
+//! terminal response fields (digests, fuel left, error class), and
+//! family slots snapshot the execution state of a `bigupd`-rooted
+//! program just before its trailing update so sliding-parameter
+//! requests replay only the update (the delta path). Both kinds share
+//! the one capacity. Determinism is preserved by doing every
+//! membership change — install and eviction — on the sequential
+//! admission path; execution threads only *resolve* slots in place
+//! (`Pending → Ready/Failed`) and never alter membership or recency.
+//! Family snapshots hold real arrays, so their bytes are charged to the
+//! shared ceiling by the server at install and refunded on eviction or
+//! failure (`ResultCacheStats::resident_bytes` tracks the residency).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use hac_core::pipeline::{Compiled, ExecState};
 
 use crate::Status;
+
+#[derive(Debug)]
+struct LruEntry<V> {
+    value: V,
+    /// Admission ordinal of the last request that used this entry (or
+    /// inserted it).
+    last_used: u64,
+    /// Rebuild-cost proxy, clamped to ≥ 1.
+    cost: u64,
+}
+
+/// A map bounded by the cost-aware LRU rule (see the module docs).
+/// `cap == 0` means unbounded. Not internally synchronized — the
+/// server wraps each cache in a `Mutex`.
+#[derive(Debug)]
+pub(crate) struct CostLru<K, V> {
+    cap: usize,
+    entries: HashMap<K, LruEntry<V>>,
+}
+
+impl<K: Copy + Ord + Hash, V> CostLru<K, V> {
+    pub(crate) fn new(cap: usize) -> CostLru<K, V> {
+        CostLru {
+            cap,
+            entries: HashMap::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+        self.entries.get(key).map(|e| &e.value)
+    }
+
+    /// The value under `key`, without touching its recency.
+    pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.entries.get_mut(key).map(|e| &mut e.value)
+    }
+
+    /// The value under `key`, its recency stamped with `ordinal`.
+    pub(crate) fn touch(&mut self, key: &K, ordinal: u64) -> Option<&mut V> {
+        self.entries.get_mut(key).map(|e| {
+            e.last_used = ordinal;
+            &mut e.value
+        })
+    }
+
+    /// Insert `value` under `key` at `ordinal`. An existing key is
+    /// replaced in place and never evicts; its old value is returned
+    /// first. A new key first evicts as many victims as the capacity
+    /// requires (1 in steady state; more only after a capacity
+    /// reconfiguration), returned second.
+    pub(crate) fn insert(
+        &mut self,
+        key: K,
+        value: V,
+        ordinal: u64,
+        cost: u64,
+    ) -> (Option<V>, Vec<V>) {
+        let entry = LruEntry {
+            value,
+            last_used: ordinal,
+            cost: cost.max(1),
+        };
+        if let Some(old) = self.entries.get_mut(&key) {
+            return (Some(std::mem::replace(old, entry).value), Vec::new());
+        }
+        let mut evicted = Vec::new();
+        while self.cap > 0 && self.entries.len() >= self.cap {
+            let (_, _, victim) = self
+                .entries
+                .iter()
+                .map(|(k, e)| (e.last_used + e.cost, e.last_used, *k))
+                .min()
+                .expect("cap > 0 and len >= cap imply an entry");
+            let gone = self.entries.remove(&victim).expect("victim is resident");
+            evicted.push(gone.value);
+        }
+        self.entries.insert(key, entry);
+        (None, evicted)
+    }
+}
 
 /// Counters over the cache's whole life. Reconciliation invariants,
 /// enforced by the eviction proptests:
@@ -67,35 +152,23 @@ pub struct CacheStats {
     pub cap: u64,
 }
 
-#[derive(Debug)]
-struct Entry {
-    program: Arc<Compiled>,
-    /// Admission ordinal of the last request that looked this entry up
-    /// (or inserted it).
-    last_used: u64,
-    /// Rebuild-cost proxy: compiled unit count, clamped to ≥ 1.
-    cost: u64,
-}
-
-/// The bounded cache. Not internally synchronized — the server wraps
-/// it in a `Mutex` (lookups and insertions happen on the sequential
-/// admission path, so the lock is uncontended in steady state).
+/// The bounded compiled-program cache: a [`CostLru`] plus its lookup
+/// ledger. The server wraps it in a `Mutex` (lookups and insertions
+/// happen on the sequential admission path, so the lock is uncontended
+/// in steady state).
 #[derive(Debug)]
 pub struct ProgramCache {
-    cap: usize,
-    entries: HashMap<u64, Entry>,
+    programs: CostLru<u64, Arc<Compiled>>,
     stats: CacheStats,
 }
 
 impl ProgramCache {
     /// A cache holding at most `cap` entries; `cap == 0` means
-    /// unbounded (the pre-eviction behavior, available via
-    /// `--cache-cap 0` for embedders that key a small closed program
-    /// set).
+    /// unbounded (available via `--cache-cap 0` for embedders that key
+    /// a small closed program set).
     pub fn new(cap: usize) -> ProgramCache {
         ProgramCache {
-            cap,
-            entries: HashMap::new(),
+            programs: CostLru::new(cap),
             stats: CacheStats {
                 cap: cap as u64,
                 ..CacheStats::default()
@@ -107,73 +180,44 @@ impl ProgramCache {
     /// hit.
     pub fn lookup(&mut self, key: u64, ordinal: u64) -> Option<Arc<Compiled>> {
         self.stats.lookups += 1;
-        match self.entries.get_mut(&key) {
-            Some(e) => {
-                e.last_used = ordinal;
-                self.stats.hits += 1;
-                Some(Arc::clone(&e.program))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        let hit = self.programs.touch(&key, ordinal).map(|p| Arc::clone(p));
+        match hit {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
+        hit
     }
 
-    /// Insert a freshly compiled program under `key`, evicting as many
-    /// victims as needed to respect the capacity. Returns how many
-    /// entries were evicted (0 or 1 in steady state; more only after a
-    /// capacity reconfiguration). Re-inserting an existing key
-    /// refreshes it in place and never evicts.
+    /// Insert a freshly compiled program under `key`, costed at its
+    /// compiled unit count. Returns how many entries were evicted to
+    /// make room; re-inserting an existing key refreshes it in place
+    /// and never evicts.
     pub fn insert(&mut self, key: u64, program: Arc<Compiled>, ordinal: u64) -> u64 {
-        let cost = (program.units.len() as u64).max(1);
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.program = program;
-            e.last_used = ordinal;
-            e.cost = cost;
-            return 0;
+        let cost = program.units.len() as u64;
+        let (replaced, evicted) = self.programs.insert(key, program, ordinal, cost);
+        if replaced.is_none() {
+            self.stats.insertions += 1;
         }
-        let mut evicted = 0;
-        if self.cap > 0 {
-            while self.entries.len() >= self.cap {
-                let victim = self
-                    .entries
-                    .iter()
-                    .map(|(k, e)| (e.last_used + e.cost, e.last_used, *k))
-                    .min()
-                    .expect("cap > 0 and len >= cap imply an entry");
-                self.entries.remove(&victim.2);
-                self.stats.evictions += 1;
-                self.stats.live -= 1;
-                evicted += 1;
-            }
-        }
-        self.entries.insert(
-            key,
-            Entry {
-                program,
-                last_used: ordinal,
-                cost,
-            },
-        );
-        self.stats.insertions += 1;
-        self.stats.live += 1;
-        evicted
+        self.stats.evictions += evicted.len() as u64;
+        evicted.len() as u64
     }
 
     /// A copy of the life-to-date counters.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats {
+            live: self.programs.len() as u64,
+            ..self.stats
+        }
     }
 
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.programs.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.programs.len() == 0
     }
 }
 
@@ -239,35 +283,48 @@ pub struct FamilyEntry {
     pub prefix_mem: Option<u64>,
 }
 
+/// A result-cache key. The kind selects the payload: `Full` slots hold
+/// a [`CachedOutcome`], `Family` slots a [`FamilyEntry`]. The derived
+/// order puts `Full` before `Family`, the victim rule's final
+/// tie-break.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum SlotKey {
+    Full(u64),
+    Family(u64),
+}
+
+/// What a resolved slot holds.
+#[derive(Debug, Clone)]
+pub enum Payload {
+    Full(Arc<CachedOutcome>),
+    Family(Arc<FamilyEntry>),
+}
+
 #[derive(Debug)]
-enum SlotState<T> {
+enum SlotState {
     Pending,
-    Ready(Arc<T>),
+    Ready(Payload),
     Failed,
 }
 
-/// One result-cache entry: a full outcome (`Slot<CachedOutcome>`) or a
-/// family snapshot (`Slot<FamilyEntry>`).
 #[derive(Debug)]
-struct Slot<T> {
-    state: SlotState<T>,
+struct Slot {
+    state: SlotState,
     /// Install token (the installer's admission ordinal): fills and
     /// fails only land when their token matches, so a filler whose
     /// slot was evicted and re-installed cannot resolve the newcomer.
     token: u64,
-    last_used: u64,
-    cost: u64,
-    /// Ceiling bytes this slot holds: always 0 for full slots; for
-    /// family slots zeroed when a failure refunds them early, so
-    /// eviction never double-refunds.
+    /// Ceiling bytes this slot holds: 0 for full slots; for family
+    /// slots zeroed when a failure refunds them early, so eviction
+    /// never double-refunds.
     bytes: u64,
 }
 
-impl<T> Slot<T> {
-    fn probe(&self) -> Probe<T> {
+impl Slot {
+    fn probe(&self) -> Probe {
         match &self.state {
             SlotState::Pending => Probe::Pending { token: self.token },
-            SlotState::Ready(v) => Probe::Ready(Arc::clone(v)),
+            SlotState::Ready(v) => Probe::Ready(v.clone()),
             SlotState::Failed => Probe::Failed,
         }
     }
@@ -275,7 +332,7 @@ impl<T> Slot<T> {
 
 /// What an admission-time probe (or an execution-time peek) found.
 #[derive(Debug)]
-pub enum Probe<T> {
+pub enum Probe {
     Absent,
     /// A filler admitted earlier is still executing; `token`
     /// identifies that install so waiters never block on a
@@ -283,68 +340,24 @@ pub enum Probe<T> {
     Pending {
         token: u64,
     },
-    Ready(Arc<T>),
+    Ready(Payload),
     Failed,
 }
 
-/// [`Probe`] of a full slot.
-pub type FullProbe = Probe<CachedOutcome>;
-
-/// [`Probe`] of a family slot.
-pub type FamilyProbe = Probe<FamilyEntry>;
-
-type Slots<T> = HashMap<u64, Slot<T>>;
-
-/// Admission-time probe: stamps recency on `Ready`.
-fn probe<T>(slots: &mut Slots<T>, key: u64, ordinal: u64) -> Probe<T> {
-    match slots.get_mut(&key) {
-        Some(slot) => {
-            if matches!(slot.state, SlotState::Ready(_)) {
-                slot.last_used = ordinal;
-            }
-            slot.probe()
-        }
-        None => Probe::Absent,
-    }
-}
-
-/// Execution-time peek: no stats, no recency.
-fn peek<T>(slots: &Slots<T>, key: u64) -> Probe<T> {
-    slots.get(&key).map_or(Probe::Absent, Slot::probe)
-}
-
-/// The slot `key` still pending for the filler holding `token`.
-fn pending<T>(slots: &mut Slots<T>, key: u64, token: u64) -> Option<&mut Slot<T>> {
-    slots
-        .get_mut(&key)
-        .filter(|slot| slot.token == token && matches!(slot.state, SlotState::Pending))
-}
-
-/// What an install displaced: evicted entry count plus any family
-/// bytes freed (the server refunds them to the ceiling).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Evicted {
-    pub entries: u64,
-    pub bytes: u64,
-}
-
 /// The materialized-result cache: full outcomes and family snapshots
-/// under one capacity, evicted by the program cache's cost-aware-LRU
-/// rule on the shared admission-ordinal clock. Like [`ProgramCache`]
-/// it is not internally synchronized; the server wraps it in a
-/// `Mutex` paired with a `Condvar` for slot waiters.
+/// in one [`CostLru`] under one capacity. Like [`ProgramCache`] it is
+/// not internally synchronized; the server wraps it in a `Mutex`
+/// paired with a `Condvar` for slot waiters.
 ///
 /// Membership and recency change **only** through the admission-path
-/// methods ([`ResultCache::probe_full`], [`ResultCache::install_full`],
-/// [`ResultCache::probe_family`], [`ResultCache::install_family`]) —
+/// methods ([`ResultCache::probe`], [`ResultCache::install`]) —
 /// eviction is therefore a pure function of the admission sequence.
-/// Execution threads resolve slots with the fill/fail methods, which
-/// change state in place and never touch membership.
+/// Execution threads resolve slots with [`ResultCache::fill`] and
+/// [`ResultCache::fail`], which change state in place and never touch
+/// membership.
 #[derive(Debug)]
 pub struct ResultCache {
-    cap: usize,
-    full: Slots<CachedOutcome>,
-    family: Slots<FamilyEntry>,
+    slots: CostLru<SlotKey, Slot>,
     stats: ResultCacheStats,
 }
 
@@ -354,9 +367,7 @@ impl ResultCache {
     /// cache entirely, so a zero-cap instance only ever reports stats.
     pub fn new(cap: usize) -> ResultCache {
         ResultCache {
-            cap,
-            full: HashMap::new(),
-            family: HashMap::new(),
+            slots: CostLru::new(cap),
             stats: ResultCacheStats {
                 cap: cap as u64,
                 ..ResultCacheStats::default()
@@ -364,112 +375,58 @@ impl ResultCache {
         }
     }
 
-    /// Admission-time probe of the full key: counts one lookup and
-    /// stamps recency on `Ready`.
-    pub fn probe_full(&mut self, key: u64, ordinal: u64) -> FullProbe {
-        self.stats.lookups += 1;
-        probe(&mut self.full, key, ordinal)
+    /// Admission-time probe: stamps recency on `Ready`. A full-key
+    /// probe counts one lookup (a request's family probe does not —
+    /// its full-key probe already counted it).
+    pub fn probe(&mut self, key: SlotKey, ordinal: u64) -> Probe {
+        if let SlotKey::Full(_) = key {
+            self.stats.lookups += 1;
+        }
+        let found = self.peek(key);
+        if let Probe::Ready(_) = found {
+            self.slots.touch(&key, ordinal);
+        }
+        found
     }
 
     /// Execution-time peek (no stats, no recency) for waiters parked
     /// on a `Pending` slot.
-    pub fn peek_full(&self, key: u64) -> FullProbe {
-        peek(&self.full, key)
+    pub fn peek(&self, key: SlotKey) -> Probe {
+        self.slots.get(&key).map_or(Probe::Absent, Slot::probe)
     }
 
-    /// Install a `Pending` full slot: the installing request becomes
-    /// the slot's filler. Replaces a `Failed` tombstone in place;
-    /// inserting a new key first evicts to capacity.
-    pub fn install_full(&mut self, key: u64, ordinal: u64, cost: u64) -> Evicted {
-        self.install(|c| &mut c.full, key, ordinal, cost, 0)
-    }
-
-    /// Resolve a `Pending` full slot to `Ready`. Lands only when the
-    /// slot still exists, is pending, and carries `token` (otherwise
-    /// the slot was evicted or re-installed and the fill is dropped).
-    /// Returns whether it landed.
-    pub fn fill_full(&mut self, key: u64, token: u64, outcome: Arc<CachedOutcome>) -> bool {
-        self.fill(|c| &mut c.full, key, token, outcome)
-    }
-
-    /// Resolve a `Pending` full slot to `Failed` (the filler died
-    /// without an outcome). Token-gated like [`ResultCache::fill_full`].
-    pub fn fail_full(&mut self, key: u64, token: u64) {
-        self.fail(|c| &mut c.full, key, token);
-    }
-
-    /// Admission-time probe of a family key (no lookup count — the
-    /// full-key probe already counted this request).
-    pub fn probe_family(&mut self, fkey: u64, ordinal: u64) -> FamilyProbe {
-        probe(&mut self.family, fkey, ordinal)
-    }
-
-    /// Execution-time peek for delta waiters.
-    pub fn peek_family(&self, fkey: u64) -> FamilyProbe {
-        peek(&self.family, fkey)
-    }
-
-    /// Install a `Pending` family slot holding `bytes` of (already
-    /// ceiling-reserved) snapshot memory.
-    pub fn install_family(&mut self, fkey: u64, ordinal: u64, cost: u64, bytes: u64) -> Evicted {
-        self.install(|c| &mut c.family, fkey, ordinal, cost, bytes)
-    }
-
-    /// Resolve a `Pending` family slot to `Ready`. Token-gated;
-    /// returns whether it landed (a dropped fill wastes only the
-    /// snapshot clone — its install's bytes were refunded when the
-    /// slot was evicted).
-    pub fn fill_family(&mut self, fkey: u64, token: u64, entry: Arc<FamilyEntry>) -> bool {
-        self.fill(|c| &mut c.family, fkey, token, entry)
-    }
-
-    /// Resolve a `Pending` family slot to `Failed`, releasing its
-    /// bytes early. Returns the bytes the caller must refund to the
-    /// ceiling (0 when the fail did not land).
-    pub fn fail_family(&mut self, fkey: u64, token: u64) -> u64 {
-        self.fail(|c| &mut c.family, fkey, token)
-    }
-
-    /// Install a `Pending` slot into the map `slots` picks, holding
-    /// `bytes`. Re-installing an existing key (a `Failed` tombstone)
-    /// replaces it in place: its bytes were refunded when it failed
-    /// (or it never held any), so only the difference counts.
-    fn install<T>(
-        &mut self,
-        slots: impl Fn(&mut Self) -> &mut Slots<T>,
-        key: u64,
-        ordinal: u64,
-        cost: u64,
-        bytes: u64,
-    ) -> Evicted {
-        let mut evicted = Evicted::default();
-        if !slots(self).contains_key(&key) {
-            evicted = self.evict_to_cap();
-            self.stats.live += 1;
-        }
+    /// Install a `Pending` slot holding `bytes` of (already
+    /// ceiling-reserved) memory: the installing request becomes the
+    /// slot's filler. Re-installing a resident key replaces it in
+    /// place; a new key first evicts to capacity. Returns the bytes
+    /// the displaced slots held, which the caller refunds.
+    pub fn install(&mut self, key: SlotKey, ordinal: u64, cost: u64, bytes: u64) -> u64 {
         let slot = Slot {
             state: SlotState::Pending,
             token: ordinal,
-            last_used: ordinal,
-            cost: cost.max(1),
             bytes,
         };
-        let freed = slots(self).insert(key, slot).map_or(0, |old| old.bytes);
+        let (replaced, evicted) = self.slots.insert(key, slot, ordinal, cost);
+        self.stats.evictions += evicted.len() as u64;
+        let freed: u64 = replaced.iter().chain(&evicted).map(|s| s.bytes).sum();
         self.stats.resident_bytes = self.stats.resident_bytes - freed + bytes;
-        evicted.bytes += freed;
-        evicted
+        freed
     }
 
-    /// Resolve the `Pending` slot `key` of the map `slots` picks to
-    /// `Ready`, when `token` still owns it.
-    fn fill<T>(
-        &mut self,
-        slots: impl Fn(&mut Self) -> &mut Slots<T>,
-        key: u64,
-        token: u64,
-        value: Arc<T>,
-    ) -> bool {
-        let Some(slot) = pending(slots(self), key, token) else {
+    /// The slot `key` still pending for the filler holding `token`.
+    fn pending(&mut self, key: SlotKey, token: u64) -> Option<&mut Slot> {
+        self.slots
+            .get_mut(&key)
+            .filter(|slot| slot.token == token && matches!(slot.state, SlotState::Pending))
+    }
+
+    /// Resolve a `Pending` slot to `Ready`. Lands only when the slot
+    /// still exists, is pending, and carries `token` (otherwise the
+    /// slot was evicted or re-installed and the fill is dropped — a
+    /// dropped family fill wastes only the snapshot clone, its bytes
+    /// were refunded at eviction). Returns whether it landed.
+    pub fn fill(&mut self, key: SlotKey, token: u64, value: Payload) -> bool {
+        let Some(slot) = self.pending(key, token) else {
             return false;
         };
         slot.state = SlotState::Ready(value);
@@ -477,11 +434,12 @@ impl ResultCache {
         true
     }
 
-    /// Resolve the `Pending` slot `key` to `Failed`, when `token` still
-    /// owns it, releasing its bytes; returns them (0 when the fail did
-    /// not land).
-    fn fail<T>(&mut self, slots: impl Fn(&mut Self) -> &mut Slots<T>, key: u64, token: u64) -> u64 {
-        let Some(slot) = pending(slots(self), key, token) else {
+    /// Resolve a `Pending` slot to `Failed` (the filler died without a
+    /// payload), releasing its bytes early. Token-gated like
+    /// [`ResultCache::fill`]; returns the bytes the caller must refund
+    /// to the ceiling (0 when the fail did not land).
+    pub fn fail(&mut self, key: SlotKey, token: u64) -> u64 {
+        let Some(slot) = self.pending(key, token) else {
             return 0;
         };
         slot.state = SlotState::Failed;
@@ -507,48 +465,10 @@ impl ResultCache {
 
     /// A copy of the life-to-date counters.
     pub fn result_stats(&self) -> ResultCacheStats {
-        self.stats
-    }
-
-    /// Evict until there is room for one more entry. The victim rule
-    /// is the program cache's, totalized across both maps: minimize
-    /// `(last_used + cost, last_used, map, key)`. Pending slots are
-    /// evicted like any other — membership must stay a pure function
-    /// of the admission sequence, and fillers/waiters tolerate a
-    /// vanished slot (token-gated fills drop; waiters fall back to a
-    /// full run).
-    fn evict_to_cap(&mut self) -> Evicted {
-        let mut out = Evicted::default();
-        if self.cap == 0 {
-            return out;
+        ResultCacheStats {
+            live: self.slots.len() as u64,
+            ..self.stats
         }
-        while self.full.len() + self.family.len() >= self.cap {
-            let full_victim = self
-                .full
-                .iter()
-                .map(|(k, s)| (s.last_used + s.cost, s.last_used, 0u8, *k))
-                .min();
-            let fam_victim = self
-                .family
-                .iter()
-                .map(|(k, s)| (s.last_used + s.cost, s.last_used, 1u8, *k))
-                .min();
-            let Some(victim) = full_victim.min(fam_victim) else {
-                break;
-            };
-            let bytes = if victim.2 == 0 {
-                self.full.remove(&victim.3).map(|s| s.bytes)
-            } else {
-                self.family.remove(&victim.3).map(|s| s.bytes)
-            }
-            .expect("victim exists");
-            self.stats.resident_bytes -= bytes;
-            out.bytes += bytes;
-            self.stats.evictions += 1;
-            self.stats.live -= 1;
-            out.entries += 1;
-        }
-        out
     }
 }
 
@@ -619,38 +539,50 @@ mod tests {
         assert_eq!(c.stats().insertions, 2, "refresh is not an insertion");
     }
 
-    fn outcome() -> Arc<CachedOutcome> {
-        Arc::new(CachedOutcome {
+    #[test]
+    fn costlier_entries_outlive_cheap_ones_touched_at_the_same_time() {
+        let mut lru = CostLru::new(2);
+        lru.insert(1u64, "cheap", 0, 1);
+        lru.insert(2u64, "dear", 0, 5);
+        let (_, evicted) = lru.insert(3u64, "new", 1, 1);
+        assert_eq!(evicted, vec!["cheap"]);
+        assert!(lru.get(&2).is_some());
+    }
+
+    fn outcome() -> Payload {
+        Payload::Full(Arc::new(CachedOutcome {
             status: Status::Ok,
             answer_digest: Some("d".to_string()),
             counters_digest: Some("c".to_string()),
             fuel_left: None,
             engine_faults: 0,
             error: None,
-        })
+        }))
     }
 
-    fn family() -> Arc<FamilyEntry> {
-        Arc::new(FamilyEntry {
+    fn family() -> Payload {
+        Payload::Family(Arc::new(FamilyEntry {
             state: ExecState::default(),
             prefix_fuel: Some(3),
             prefix_mem: None,
-        })
+        }))
     }
+
+    use SlotKey::{Family, Full};
 
     #[test]
     fn result_slots_resolve_through_the_pending_protocol() {
         let mut c = ResultCache::new(8);
-        assert!(matches!(c.probe_full(7, 0), FullProbe::Absent));
-        c.install_full(7, 0, 2);
+        assert!(matches!(c.probe(Full(7), 0), Probe::Absent));
+        c.install(Full(7), 0, 2, 0);
+        assert!(matches!(c.probe(Full(7), 1), Probe::Pending { token: 0 }));
+        assert!(c.fill(Full(7), 0, outcome()));
         assert!(matches!(
-            c.probe_full(7, 1),
-            FullProbe::Pending { token: 0 }
+            c.probe(Full(7), 2),
+            Probe::Ready(Payload::Full(_))
         ));
-        assert!(c.fill_full(7, 0, outcome()));
-        assert!(matches!(c.probe_full(7, 2), FullProbe::Ready(_)));
         // A second fill with a stale token is dropped.
-        assert!(!c.fill_full(7, 0, outcome()));
+        assert!(!c.fill(Full(7), 0, outcome()));
         let s = c.result_stats();
         assert_eq!((s.lookups, s.insertions, s.live), (3, 1, 1));
     }
@@ -658,66 +590,73 @@ mod tests {
     #[test]
     fn failed_slots_are_tombstones_until_reinstalled() {
         let mut c = ResultCache::new(8);
-        c.install_full(7, 0, 1);
-        c.fail_full(7, 0);
-        assert!(matches!(c.probe_full(7, 1), FullProbe::Failed));
+        c.install(Full(7), 0, 1, 0);
+        c.fail(Full(7), 0);
+        assert!(matches!(c.probe(Full(7), 1), Probe::Failed));
         // Re-install in place: no membership change, fresh token.
-        assert_eq!(c.install_full(7, 2, 1), Evicted::default());
-        assert!(matches!(
-            c.probe_full(7, 3),
-            FullProbe::Pending { token: 2 }
-        ));
-        assert_eq!(c.result_stats().live, 1);
+        assert_eq!(c.install(Full(7), 2, 1, 0), 0);
+        assert!(matches!(c.probe(Full(7), 3), Probe::Pending { token: 2 }));
+        let s = c.result_stats();
+        assert_eq!((s.live, s.evictions), (1, 0));
     }
 
     #[test]
     fn family_bytes_are_charged_and_refunded_exactly_once() {
         let mut c = ResultCache::new(8);
-        c.install_family(9, 0, 1, 640);
+        c.install(Family(9), 0, 1, 640);
         assert_eq!(c.result_stats().resident_bytes, 640);
         // Failure refunds early; the tombstone holds nothing.
-        assert_eq!(c.fail_family(9, 0), 640);
+        assert_eq!(c.fail(Family(9), 0), 640);
         assert_eq!(c.result_stats().resident_bytes, 0);
         // A stale fail (wrong token) refunds nothing.
-        assert_eq!(c.fail_family(9, 0), 0);
+        assert_eq!(c.fail(Family(9), 0), 0);
         // Re-install charges again; fill keeps the charge resident.
-        c.install_family(9, 1, 1, 640);
-        assert!(c.fill_family(9, 1, family()));
+        c.install(Family(9), 1, 1, 640);
+        assert!(c.fill(Family(9), 1, family()));
         assert_eq!(c.result_stats().resident_bytes, 640);
-        assert!(matches!(c.probe_family(9, 2), FamilyProbe::Ready(_)));
+        assert!(matches!(
+            c.probe(Family(9), 2),
+            Probe::Ready(Payload::Family(_))
+        ));
     }
 
     #[test]
-    fn eviction_spans_both_maps_and_frees_family_bytes() {
+    fn eviction_spans_both_kinds_and_frees_family_bytes() {
         let mut c = ResultCache::new(2);
-        c.install_full(1, 0, 1);
-        assert!(c.fill_full(1, 0, outcome()));
-        c.install_family(2, 1, 1, 100);
-        assert!(c.fill_family(2, 1, family()));
+        c.install(Full(1), 0, 1, 0);
+        assert!(c.fill(Full(1), 0, outcome()));
+        c.install(Family(2), 1, 1, 100);
+        assert!(c.fill(Family(2), 1, family()));
         // Touch the family entry so the full entry is the victim.
-        assert!(matches!(c.probe_family(2, 2), FamilyProbe::Ready(_)));
-        let ev = c.install_full(3, 3, 1);
-        assert_eq!(
-            ev,
-            Evicted {
-                entries: 1,
-                bytes: 0
-            }
-        );
-        assert!(matches!(c.probe_full(1, 4), FullProbe::Absent));
+        assert!(matches!(c.probe(Family(2), 2), Probe::Ready(_)));
+        assert_eq!(c.install(Full(3), 3, 1, 0), 0);
+        assert!(matches!(c.probe(Full(1), 4), Probe::Absent));
         // Now the family snapshot is the stalest; evicting it frees
         // its bytes for the caller to refund.
-        assert!(matches!(c.probe_full(3, 5), FullProbe::Pending { .. }));
-        let ev = c.install_full(4, 6, 1);
-        assert_eq!(
-            ev,
-            Evicted {
-                entries: 1,
-                bytes: 100
-            }
-        );
-        assert_eq!(c.result_stats().resident_bytes, 0);
+        assert!(matches!(c.probe(Full(3), 5), Probe::Pending { .. }));
+        assert_eq!(c.install(Full(4), 6, 1, 0), 100);
         let s = c.result_stats();
-        assert_eq!((s.evictions, s.live), (2, 2));
+        assert_eq!((s.evictions, s.live, s.resident_bytes), (2, 2, 0));
+    }
+
+    #[test]
+    fn equal_scores_evict_full_slots_before_family_slots() {
+        let mut c = ResultCache::new(2);
+        c.install(Family(1), 0, 1, 8);
+        c.install(Full(2), 0, 1, 0);
+        assert_eq!(c.install(Full(3), 1, 1, 0), 0, "the full slot goes first");
+        assert!(matches!(c.peek(Family(1)), Probe::Pending { .. }));
+    }
+
+    /// Full-only traffic (no family snapshot ever published) must
+    /// still evict at the cap.
+    #[test]
+    fn full_only_traffic_is_held_at_the_cap() {
+        let mut c = ResultCache::new(2);
+        for key in 0..5u64 {
+            c.install(Full(key), key, 1, 0);
+        }
+        let s = c.result_stats();
+        assert_eq!((s.live, s.evictions), (2, 3));
     }
 }

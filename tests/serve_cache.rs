@@ -1,17 +1,25 @@
-//! The bounded program cache's ledger, under fire: random
-//! lookup/insert interleavings must keep the reconciliation
-//! invariants (`hits + misses == lookups`,
+//! The bounded caches' ledgers, under fire: random
+//! lookup/insert interleavings must keep the program cache's
+//! reconciliation invariants (`hits + misses == lookups`,
 //! `insertions - evictions == live`, `live <= cap`) at *every* step,
-//! eviction must be harmless — a re-admitted evicted program answers
-//! bit-identically — and the default capacity must actually hold
-//! against a flood of unique programs.
+//! random install/fill/fail/probe interleavings must keep the result
+//! cache's ledger and byte residency exact, eviction must be
+//! harmless — a re-admitted evicted program answers bit-identically —
+//! and the default capacities must actually hold against a flood of
+//! unique requests.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use hac::core::pipeline::{compile, CompileOptions};
+use hac::core::pipeline::{compile, CompileOptions, ExecState};
 use hac::lang::env::ConstEnv;
-use hac::serve::cache::ProgramCache;
-use hac::serve::{Request, ServeOptions, Server, Status, DEFAULT_CACHE_CAP};
+use hac::serve::cache::{
+    CachedOutcome, FamilyEntry, Payload, Probe, ProgramCache, ResultCache, SlotKey,
+};
+use hac::serve::{
+    Request, ResultClass, ServeOptions, Server, Status, DEFAULT_CACHE_CAP, DEFAULT_RESULT_CACHE_CAP,
+};
+use hac_runtime::governor::FaultPlan;
 use hac_workloads::XorShift;
 use proptest::prelude::*;
 
@@ -54,6 +62,114 @@ proptest! {
                     cache.len() <= cap,
                     "seed {}: {} entries over cap {}", seed, cache.len(), cap
                 );
+            } else {
+                prop_assert_eq!(s.evictions, 0, "seed {}: unbounded never evicts", seed);
+            }
+        }
+    }
+
+    /// The result cache against a shadow model, over random caps
+    /// (0 = unbounded) and random install/fill/fail/probe sequences on
+    /// full and family keys: after every step `insertions` counts the
+    /// fills that landed, `evictions` the keys the cache dropped,
+    /// `live` the resident keys (never over a non-zero cap), and
+    /// `resident_bytes` the bytes resident family slots hold — with
+    /// every displaced byte handed back to the caller for refund.
+    #[test]
+    fn result_cache_ledger_reconciles_at_every_step(seed in any::<u64>()) {
+        let mut rng = XorShift::new(seed | 1);
+        let cap = (rng.next_u64() % 9) as usize;
+        let mut cache = ResultCache::new(cap);
+        // Resident key -> (install token, bytes held, still pending).
+        let mut model: HashMap<SlotKey, (u64, u64, bool)> = HashMap::new();
+        let (mut lookups, mut insertions, mut evictions) = (0u64, 0u64, 0u64);
+        for ordinal in 0..200u64 {
+            let id = rng.next_u64() % 12;
+            let key = if rng.next_u64().is_multiple_of(2) {
+                SlotKey::Full(id)
+            } else {
+                SlotKey::Family(id)
+            };
+            // Half the fills and fails carry the live token, half a
+            // stale one.
+            let token = match model.get(&key) {
+                Some(&(t, _, _)) if rng.next_u64().is_multiple_of(2) => t,
+                _ => ordinal,
+            };
+            let landing = matches!(model.get(&key), Some(&(t, _, true)) if t == token);
+            match rng.next_u64() % 4 {
+                0 => {
+                    let bytes = match key {
+                        SlotKey::Full(_) => 0,
+                        SlotKey::Family(_) => 64 * (rng.next_u64() % 4),
+                    };
+                    let freed = cache.install(key, ordinal, rng.next_u64() % 3, bytes);
+                    let replaced = model.insert(key, (ordinal, bytes, true)).map_or(0, |m| m.1);
+                    let gone: Vec<SlotKey> = model
+                        .keys()
+                        .filter(|k| matches!(cache.peek(**k), Probe::Absent))
+                        .copied()
+                        .collect();
+                    let evicted_bytes: u64 = gone.iter().map(|k| model.remove(k).unwrap().1).sum();
+                    evictions += gone.len() as u64;
+                    prop_assert_eq!(freed, replaced + evicted_bytes, "seed {}", seed);
+                }
+                1 => {
+                    let payload = match key {
+                        SlotKey::Full(_) => Payload::Full(Arc::new(CachedOutcome {
+                            status: Status::Ok,
+                            answer_digest: None,
+                            counters_digest: None,
+                            fuel_left: None,
+                            engine_faults: 0,
+                            error: None,
+                        })),
+                        SlotKey::Family(_) => Payload::Family(Arc::new(FamilyEntry {
+                            state: ExecState::default(),
+                            prefix_fuel: None,
+                            prefix_mem: None,
+                        })),
+                    };
+                    prop_assert_eq!(cache.fill(key, token, payload), landing, "seed {}", seed);
+                    if landing {
+                        insertions += 1;
+                        model.get_mut(&key).unwrap().2 = false;
+                    }
+                }
+                2 => {
+                    let refund = cache.fail(key, token);
+                    if landing {
+                        let m = model.get_mut(&key).unwrap();
+                        prop_assert_eq!(refund, m.1, "seed {}", seed);
+                        *m = (m.0, 0, false);
+                    } else {
+                        prop_assert_eq!(refund, 0, "seed {}", seed);
+                    }
+                }
+                _ => {
+                    if let SlotKey::Full(_) = key {
+                        lookups += 1;
+                    }
+                    let found = cache.probe(key, ordinal);
+                    prop_assert_eq!(
+                        matches!(found, Probe::Absent),
+                        !model.contains_key(&key),
+                        "seed {}", seed
+                    );
+                }
+            }
+            let s = cache.result_stats();
+            prop_assert_eq!(s.lookups, lookups, "seed {}", seed);
+            prop_assert_eq!(s.insertions, insertions, "seed {}", seed);
+            prop_assert_eq!(s.evictions, evictions, "seed {}", seed);
+            prop_assert_eq!(s.live, model.len() as u64, "seed {}", seed);
+            prop_assert_eq!(
+                s.resident_bytes,
+                model.values().map(|m| m.1).sum::<u64>(),
+                "seed {}", seed
+            );
+            if cap > 0 {
+                prop_assert!(s.live as usize <= cap, "seed {}: {} live over cap {}", seed, s.live, cap);
             } else {
                 prop_assert_eq!(s.evictions, 0, "seed {}: unbounded never evicts", seed);
             }
@@ -155,4 +271,55 @@ fn ten_thousand_unique_programs_hold_the_cache_at_cap() {
     assert_eq!(s.evictions, (FLOOD - DEFAULT_CACHE_CAP) as u64);
     assert_eq!(s.hits, 0);
     assert_eq!(s.misses, FLOOD as u64);
+}
+
+/// The default result-cache capacity holds under traffic that never
+/// publishes a family snapshot (every request a fresh full key): 300
+/// distinct seeds leave exactly `DEFAULT_RESULT_CACHE_CAP` residents.
+/// The stalest outcome is gone, so re-sending the first request misses
+/// and recomputes the identical answer, and the pure prediction
+/// agrees with the realized classes throughout.
+#[test]
+fn the_default_result_cache_cap_holds_under_full_only_traffic() {
+    let options = ServeOptions {
+        // An ambient HAC_FAULT_PLAN would bypass the result cache.
+        faults: Some(FaultPlan::default()),
+        ..ServeOptions::default()
+    };
+    assert_eq!(options.result_cache_cap, DEFAULT_RESULT_CACHE_CAP);
+    let dot = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/programs/dot.hac"))
+        .expect("programs/dot.hac");
+    let mut reqs: Vec<Request> = (0..300u64)
+        .map(|seed| {
+            let mut r = Request::new(format!("dot{seed}"), dot.clone());
+            r.params.push(("n".to_string(), 16));
+            r.seed = seed;
+            r
+        })
+        .collect();
+    let mut again = reqs[0].clone();
+    again.id = "again".to_string();
+    reqs.push(again);
+    let predicted = Server::predicted_result_classes(&options, &reqs);
+
+    let server = Server::new(options);
+    let out: Vec<_> = reqs[..300].iter().map(|r| server.handle(r)).collect();
+    assert!(out.iter().all(|r| r.status == Status::Ok));
+    assert!(out
+        .iter()
+        .all(|r| r.result_cache == Some(ResultClass::Miss)));
+    let s = server.result_cache_stats();
+    assert_eq!((s.live, s.evictions), (256, 44), "{s:?}");
+
+    let resent = server.handle(&reqs[300]);
+    assert_eq!(resent.result_cache, Some(ResultClass::Miss), "evicted");
+    assert_eq!(resent.answer_digest, out[0].answer_digest);
+    assert!(resent.answer_digest.is_some());
+
+    let realized: Vec<_> = out
+        .iter()
+        .chain(std::iter::once(&resent))
+        .map(|r| r.result_cache)
+        .collect();
+    assert_eq!(realized, predicted);
 }
